@@ -101,9 +101,9 @@ def circuit_of(cone: SimplicialCone) -> Circuit | None:
     )
 
 
-def classify(cone: SimplicialCone) -> ConeClass:
-    """Pointing classification of a lifted cone from its circuit signs."""
-    c = circuit_of(cone)
+def circuit_class(c: Circuit | None) -> ConeClass:
+    """Pointing classification from circuit signs; None is a
+    projection-independent cone."""
     if c is None:
         return ConeClass.INDEPENDENT
     p, n = len(c.pos), len(c.neg)
@@ -118,6 +118,11 @@ def classify(cone: SimplicialCone) -> ConeClass:
     return ConeClass.MIXED
 
 
+def classify(cone: SimplicialCone) -> ConeClass:
+    """Pointing classification of a lifted cone from its circuit signs."""
+    return circuit_class(circuit_of(cone))
+
+
 def _stays_inside(cone: SimplicialCone, point: Vec, direction: Vec) -> bool:
     """Is point + t*direction in the cone for all sufficiently small t > 0?
 
@@ -127,9 +132,9 @@ def _stays_inside(cone: SimplicialCone, point: Vec, direction: Vec) -> bool:
     """
     solver = fanmod._cone_solver(cone)
     if solver is not None:
-        # full-dimensional cone: integer coordinates scaled by the determinant
-        adj, d = solver
-        for row in adj:
+        # full-dimensional cone: integer coordinates scaled by D
+        inv, d = solver
+        for row in inv:
             sp = sum(r * x for r, x in zip(row, point))
             if sp * d > 0:
                 continue
@@ -152,6 +157,16 @@ def _stays_inside(cone: SimplicialCone, point: Vec, direction: Vec) -> bool:
     return True
 
 
+def independent_faces(fan: Fan) -> list[tuple[Vec, ...]]:
+    """Every ray subset of a maximal cone whose projection is linearly
+    independent, in canonical order."""
+    faces = set()
+    for cone in fan.max_cones:
+        for k in range(1, len(cone.rays) + 1):
+            faces.update(itertools.combinations(cone.rays, k))
+    return [f for f in sorted(faces) if rank([base_part(r) for r in f]) == len(f)]
+
+
 def boundary(fan: Fan, side: Side) -> tuple[SimplicialCone, ...]:
     """The maximal projection-independent faces leaving the support down/up.
 
@@ -162,15 +177,8 @@ def boundary(fan: Fan, side: Side) -> tuple[SimplicialCone, ...]:
     d1 = fan.ambient_dim
     step = -1 if side is Side.LOWER else 1
     direction = (0,) * (d1 - 1) + (step,)
-    faces = set()
-    for cone in fan.max_cones:
-        for k in range(1, len(cone.rays) + 1):
-            faces.update(itertools.combinations(cone.rays, k))
     out = []
-    for face in sorted(faces):
-        projs = [base_part(r) for r in face]
-        if rank(projs) != len(face):
-            continue
+    for face in independent_faces(fan):
         b = tuple(sum(col) for col in zip(*face))
         if any(_stays_inside(c, b, direction) for c in fan.max_cones):
             continue

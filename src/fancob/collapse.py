@@ -15,15 +15,16 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import BrokenFan, FrontMismatch, NotCollapsible
-from .exact import Vec, maximal_minor_gcd, primitive, rank
+from .exact import Vec, maximal_minor_gcd, primitive
 from . import fan as fanmod
 from .cobordism import (
     Circuit,
     Cobordism,
     ConeClass,
     base_part,
+    circuit_class,
     circuit_of,
-    classify,
+    independent_faces,
 )
 from .fan import Fan, SimplicialCone
 
@@ -127,7 +128,11 @@ def is_collapsible(cob: Cobordism) -> tuple[bool, tuple[CircuitKey, ...]]:
     their positive rays, so the crossing order walks the cobordism bottom to
     top; on constructed cobordisms this reproduces the subdivision order.
     """
-    graph = circuit_graph(cob)
+    return _collapse_order(circuit_graph(cob))
+
+
+def _collapse_order(graph: CollapseGraph) -> tuple[bool, tuple[CircuitKey, ...]]:
+    """is_collapsible on an already built circuit graph."""
 
     def level(key: CircuitKey):
         circ = graph.circuits[key]
@@ -159,15 +164,8 @@ def is_pi_nonsingular(cob: Cobordism) -> tuple[bool, SimplicialCone | None]:
     Exhaustive over all ray subsets of every maximal cone; the witness is the
     first failing face in canonical order.
     """
-    faces = set()
-    for cone in cob.fan.max_cones:
-        for k in range(1, len(cone.rays) + 1):
-            faces.update(itertools.combinations(cone.rays, k))
-    for face in sorted(faces):
-        projs = [base_part(r) for r in face]
-        if rank(projs) != len(face):
-            continue
-        if maximal_minor_gcd([primitive(p) for p in projs]) != 1:
+    for face in independent_faces(cob.fan):
+        if maximal_minor_gcd([primitive(base_part(r)) for r in face]) != 1:
             return False, SimplicialCone(face)
     return True, None
 
@@ -186,7 +184,7 @@ def extract_factorization(cob: Cobordism, elide_identity: bool = False) -> list[
     negative ray dropped).  The final front must equal the top fan.
     """
     graph = circuit_graph(cob)
-    ok, witness = is_collapsible(cob)
+    ok, witness = _collapse_order(graph)
     if not ok:
         raise NotCollapsible(f"circuit graph has the cycle {list(witness)}", witness)
     front = cob.bottom
@@ -215,7 +213,7 @@ def extract_factorization(cob: Cobordism, elide_identity: bool = False) -> list[
             ConeClass.UPDOWN: StepKind.IDENTITY,
             ConeClass.MIXED: StepKind.FLIP,
         }
-        kind = kind_map[classify(star[0])]
+        kind = kind_map[circuit_class(circ)]
         if kind is StepKind.BLOWUP:
             center = primitive(base_part(circ.pos[0]))
         elif kind is StepKind.BLOWDOWN:

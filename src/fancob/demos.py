@@ -20,11 +20,17 @@ from .cobordism import (
     ConeClass,
     base_part,
     build_cobordism,
+    circuit_class,
     circuit_of,
-    classify,
     validate_cobordism,
 )
-from .collapse import CircuitKey, circuit_graph, is_collapsible, is_pi_nonsingular
+from .collapse import (
+    CircuitKey,
+    _collapse_order,
+    circuit_graph,
+    is_collapsible,
+    is_pi_nonsingular,
+)
 from .fan import Fan, SimplicialCone
 
 
@@ -52,19 +58,19 @@ def positive_link_centers(cob: Cobordism) -> list[ScheduleEntry]:
     Cones are visited by reverse topological order of their circuits; within
     a circuit in descending canonical order; link rays in ascending order.
     """
-    for cone in cob.fan.max_cones:
-        if classify(cone) is not ConeClass.UP:
-            raise NotAllPointingUp(
-                f"maximal cone {cone} is {classify(cone).value}, not Up"
-            )
+    circuits = {cone: circuit_of(cone) for cone in cob.fan.max_cones}
+    for cone, circ in circuits.items():
+        cls = circuit_class(circ)
+        if cls is not ConeClass.UP:
+            raise NotAllPointingUp(f"maximal cone {cone} is {cls.value}, not Up")
     graph = circuit_graph(cob)
-    ok, order = is_collapsible(cob)
+    ok, order = _collapse_order(graph)
     if not ok:
         raise NotCollapsible(f"no topmost-first order: cycle {list(order)}", order)
     entries: list[ScheduleEntry] = []
     for key in reversed(order):
         for cone in sorted(graph.cones[key], key=lambda c: c.rays, reverse=True):
-            circ = circuit_of(cone)
+            circ = circuits[cone]
             positive = circ.pos[0]
             for link in circ.link:
                 center = midray(positive, link)
@@ -152,8 +158,8 @@ def karu_counterexample(base_change=None) -> DemoReport:
 
     census = []
     for cone in cob.fan.max_cones:
-        cls = classify(cone)
         circ = circuit_of(cone)
+        cls = circuit_class(circ)
         census.append((cone, cls, len(circ.pos) if circ else 0, len(circ.link) if circ else 0))
     _require(len(census) == 4, f"expected 4 maximal cones, found {len(census)}")
     _require(
@@ -175,9 +181,9 @@ def karu_counterexample(base_change=None) -> DemoReport:
     }
     three_negative = None
     for cone in after_midrays.max_cones:
-        if classify(cone) is not ConeClass.UP:
-            continue
         circ = circuit_of(cone)
+        if circuit_class(circ) is not ConeClass.UP:
+            continue
         if len(circ.neg) == 3 and {
             primitive(base_part(r)) for r in circ.neg
         } == expected_neg:
@@ -202,11 +208,11 @@ def karu_counterexample(base_change=None) -> DemoReport:
         mixed_expected in final.max_cones,
         f"expected the cone {mixed_expected} in the final fan",
     )
+    circ = circuit_of(mixed_expected)
     _require(
-        classify(mixed_expected) is ConeClass.MIXED,
+        circuit_class(circ) is ConeClass.MIXED,
         "the distinguished final cone must be Mixed",
     )
-    circ = circuit_of(mixed_expected)
     _require(
         len(circ.pos) == 2 and len(circ.neg) == 2,
         "the mixed cone must have exactly two positive and two negative rays",

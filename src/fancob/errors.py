@@ -11,6 +11,10 @@ class FancobError(Exception):
     """Base class for all package-specific errors."""
 
 
+class AssertionFailed(FancobError):
+    """An exact invariant the library certifies did not hold."""
+
+
 # --- exact linear algebra ---------------------------------------------------
 
 class ZeroVector(FancobError):
@@ -82,10 +86,6 @@ class EqualRays(FancobError):
 
 class NotAllPointingUp(FancobError):
     """The midray schedule needs every maximal cone to have a single positive ray."""
-
-
-class AssertionFailed(FancobError):
-    """A demo's expected exact census deviated from the computed one."""
 
 
 # --- documents -------------------------------------------------------------------

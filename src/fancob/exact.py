@@ -4,6 +4,11 @@ Everything in this module works on tuples of Python ints (arbitrary
 precision) or Fractions; no floating point anywhere.  All functions are pure
 and deterministic, so results are bit-identical across runs and safe to call
 from any number of threads.
+
+Every elimination goes through one kernel, _reduce: fraction-free
+Gauss-Jordan (Bareiss) elimination in integers.  rank, nullspace_basis,
+kernel_relation, det, solve_in_span and the cone solvers in fan read their
+answers off its reduced rows, pivot columns and common denominator.
 """
 
 from __future__ import annotations
@@ -12,7 +17,13 @@ import itertools
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import DependentInput, DimensionMismatch, NullityTooLarge, ZeroVector
+from .errors import (
+    AssertionFailed,
+    DependentInput,
+    DimensionMismatch,
+    NullityTooLarge,
+    ZeroVector,
+)
 
 Vec = tuple[int, ...]
 
@@ -55,37 +66,50 @@ def is_primitive(v) -> bool:
     return g == 1
 
 
-def _echelon(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
-    """Integer row echelon form by cross-multiplication.
+def _reduce(rows) -> tuple[list[list[int]], list[int], int, int]:
+    """Fraction-free Gauss-Jordan elimination (Bareiss) of an integer matrix.
 
-    Rows are gcd-reduced after each elimination to tame coefficient growth.
-    Returns the echelon rows and the list of pivot columns.
+    Pivots are taken greedily from the leftmost column and every update
+    divides exactly by the previous pivot.  Returns (R, pivot_cols, D,
+    perm_sign): row k of R carries the pivot of column pivot_cols[k], every
+    pivot entry equals D, and every pivot column is zero off its pivot row,
+    so R is D times the reduced row echelon form.  D is the minor on the
+    pivot columns and the rows that end up as pivot rows, in their swapped
+    order, and perm_sign is the sign of the row swaps: a nonsingular square
+    matrix has determinant perm_sign * D.
     """
-    if not rows:
-        return rows, []
-    n = len(rows[0])
-    piv_cols: list[int] = []
-    r = 0
-    for c in range(n):
-        p = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+    a = [list(r) for r in rows]
+    m = len(a)
+    piv: list[int] = []
+    prev, sign = 1, 1
+    for c in range(len(a[0]) if a else 0):
+        r = len(piv)
+        if r == m:
+            break
+        p = next((i for i in range(r, m) if a[i][c]), None)
         if p is None:
             continue
-        rows[r], rows[p] = rows[p], rows[r]
-        head = rows[r][c]
-        for i in range(r + 1, len(rows)):
-            t = rows[i][c]
-            if t == 0:
-                continue
-            new = [head * rows[i][j] - t * rows[r][j] for j in range(n)]
-            g = 0
-            for x in new:
-                g = gcd(g, x)
-            rows[i] = [x // g for x in new] if g > 1 else new
-        piv_cols.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows, piv_cols
+        if p != r:
+            a[r], a[p] = a[p], a[r]
+            sign = -sign
+        top = a[r]
+        head = top[c]
+        for i in range(m):
+            if i != r:
+                t = a[i][c]
+                a[i] = [(head * x - t * y) // prev for x, y in zip(a[i], top)]
+        prev = head
+        piv.append(c)
+    return a, piv, prev, sign
+
+
+def _scaled_inverse(mat) -> tuple[list[list[int]], int]:
+    """(D * M^-1, D) for an invertible square integer matrix M, from one
+    reduction of [M | I]."""
+    n = len(mat)
+    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(mat)]
+    red, _, d, _ = _reduce(aug)
+    return [row[n:] for row in red], d
 
 
 def rank(vs) -> int:
@@ -94,34 +118,25 @@ def rank(vs) -> int:
     if not vs:
         return 0
     _common_dim(vs)
-    _, piv = _echelon([list(v) for v in vs])
-    return len(piv)
-
-
-def _integerize(xs: list[Fraction]) -> Vec:
-    den = 1
-    for x in xs:
-        den = lcm(den, x.denominator)
-    return primitive([int(x * den) for x in xs])
+    return len(_reduce(vs)[1])
 
 
 def nullspace_basis(rows, n: int) -> list[Vec]:
     """Primitive integer basis of {x : row . x = 0 for every row}.
 
-    The basis spans the rational null space; one vector per free column, in
-    column order, so the output is deterministic.
+    The basis spans the rational null space; one vector per free column f, in
+    column order, positive on f and zero on the other free columns, so the
+    output is deterministic.
     """
-    ech, piv = _echelon([list(r) for r in rows]) if rows else ([], [])
+    red, piv, d, _ = _reduce(rows)
+    s = 1 if d > 0 else -1
     basis: list[Vec] = []
     for f in (c for c in range(n) if c not in piv):
-        x = [Fraction(0)] * n
-        x[f] = Fraction(1)
-        for k in range(len(piv) - 1, -1, -1):
-            c = piv[k]
-            row = ech[k]
-            s = sum((Fraction(row[j]) * x[j] for j in range(c + 1, n)), Fraction(0))
-            x[c] = -s / row[c]
-        basis.append(_integerize(x))
+        x = [0] * n
+        x[f] = s * d
+        for k, c in enumerate(piv):
+            x[c] = -s * red[k][f]
+        basis.append(primitive(x))
     return basis
 
 
@@ -147,31 +162,15 @@ def kernel_relation(vs) -> Vec | None:
     first = next(x for x in rel if x != 0)
     if first < 0:
         rel = vec_neg(rel)
-    assert all(sum(r * v[i] for r, v in zip(rel, vs)) == 0 for i in range(d))
+    if any(sum(r * v[i] for r, v in zip(rel, vs)) for i in range(d)):
+        raise AssertionFailed(f"kernel relation {rel} does not annihilate {vs}")
     return rel
 
 
 def det(mat) -> int:
-    """Exact determinant of a square integer matrix (Bareiss elimination)."""
-    a = [list(row) for row in mat]
-    n = len(a)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            p = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-            if p is None:
-                return 0
-            a[k], a[p] = a[p], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[-1][-1]
+    """Exact determinant of a square integer matrix."""
+    red, piv, d, sign = _reduce(mat)
+    return sign * d if len(piv) == len(red) else 0
 
 
 def maximal_minor_gcd(vs) -> int:
@@ -209,29 +208,16 @@ def solve_in_span(vectors, target) -> tuple[Fraction, ...] | None:
     d = _common_dim(vectors)
     if len(target) != d:
         raise DimensionMismatch(f"target dim {len(target)} != vector dim {d}")
-    aug = [
-        [Fraction(vectors[j][i]) for j in range(k)] + [Fraction(target[i])]
-        for i in range(d)
-    ]
-    r = 0
-    for c in range(k):
-        p = next((i for i in range(r, d) if aug[i][c] != 0), None)
-        if p is None:
-            raise DependentInput("solve_in_span needs independent vectors")
-        aug[r], aug[p] = aug[p], aug[r]
-        for i in range(r + 1, d):
-            if aug[i][c] != 0:
-                f = aug[i][c] / aug[r][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        r += 1
-    for i in range(r, d):
-        if aug[i][k] != 0:
-            return None
-    sol = [Fraction(0)] * k
-    for i in range(k - 1, -1, -1):
-        s = aug[i][k] - sum(aug[i][j] * sol[j] for j in range(i + 1, k))
-        sol[i] = s / aug[i][i]
-    return tuple(sol)
+    s = 1
+    for x in target:
+        s = lcm(s, x.denominator)
+    scaled = [x.numerator * (s // x.denominator) for x in target]
+    red, piv, den, _ = _reduce([[v[i] for v in vectors] + [scaled[i]] for i in range(d)])
+    if piv[:k] != list(range(k)):
+        raise DependentInput("solve_in_span needs independent vectors")
+    if len(piv) > k:
+        return None
+    return tuple(Fraction(row[k], den * s) for row in red[:k])
 
 
 def nonneg_combination(rays, p) -> tuple[Fraction, ...] | None:

@@ -15,10 +15,10 @@ import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import DependentInput, DimensionMismatch, NotInSupport, ParseError
+from .errors import AssertionFailed, DependentInput, DimensionMismatch, NotInSupport, ParseError
 from .exact import (
     Vec,
-    det,
+    _scaled_inverse,
     dot,
     is_primitive,
     maximal_minor_gcd,
@@ -127,53 +127,38 @@ def _span_equalities(cone: SimplicialCone) -> tuple[Vec, ...]:
     return tuple(nullspace_basis(cone.rays, cone.ambient_dim))
 
 
-def _adjugate(m: list[list[int]]) -> list[list[int]]:
-    n = len(m)
-    out = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = [row[:i] + row[i + 1:] for k, row in enumerate(m) if k != j]
-            out[i][j] = (-1) ** (i + j) * det(minor)
-    return out
-
-
 @lru_cache(maxsize=None)
 def _cone_solver(cone: SimplicialCone):
-    """Integer solver for full-dimensional cones: coordinates of x in the
-    generator basis are (adj @ x) / D.  None for lower-dimensional cones."""
+    """Integer solver for full-dimensional cones: with (N, D) = (D * M^-1, D)
+    for the generator matrix M, the coordinates of x in the generator basis
+    are (N @ x) / D.  None for lower-dimensional cones."""
     d = cone.ambient_dim
     if cone.dim != d:
         return None
-    m = [[cone.rays[j][i] for j in range(d)] for i in range(d)]
-    return _adjugate(m), det(m)
+    return _scaled_inverse([[r[i] for r in cone.rays] for i in range(d)])
 
 
 @lru_cache(maxsize=None)
 def _facet_normals(cone: SimplicialCone) -> tuple[Vec, ...]:
     """Inward facet normals within the span, one per ray.
 
-    Row i pairs to det(Gram) > 0 with ray i and to 0 with every other ray, so
-    on span(cone) the normals cut out exactly the cone.
+    With (N, D) = (D * G^-1, D) for the Gram matrix G of the rays, the vector
+    sum_j N_ij v_j pairs to D with ray i and to 0 with every other ray, so on
+    span(cone) the normals cut out exactly the cone.  G is positive definite,
+    so its reduction swaps no rows and D = det(G) > 0.
     """
     v = cone.rays
-    k = len(v)
-    gram = [[dot(a, b) for b in v] for a in v]
+    inv, _ = _scaled_inverse([[dot(a, b) for b in v] for a in v])
     out = []
-    for i in range(k):
-        # adjugate row i of the Gram matrix, assembled against the rays
+    for row in inv:
         w = [0] * cone.ambient_dim
-        for j in range(k):
-            minor = [
-                [gram[r][c] for c in range(k) if c != i]
-                for r in range(k)
-                if r != j
-            ]
-            cof = (-1) ** (i + j) * det(minor)
-            if cof:
-                w = [x + cof * y for x, y in zip(w, v[j])]
+        for n, ray in zip(row, v):
+            if n:
+                w = [x + n * y for x, y in zip(w, ray)]
         out.append(primitive(w))
     for i, w in enumerate(out):
-        assert dot(w, v[i]) > 0 and all(dot(w, v[j]) == 0 for j in range(k) if j != i)
+        if dot(w, v[i]) <= 0 or any(dot(w, r) for j, r in enumerate(v) if j != i):
+            raise AssertionFailed(f"facet normal {w} of {cone} does not pair with ray {i} alone")
     return tuple(out)
 
 

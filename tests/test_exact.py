@@ -2,20 +2,34 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
+from math import lcm, prod
 
 import pytest
 
-from fancob.errors import DependentInput, DimensionMismatch, NullityTooLarge, ZeroVector
+from fancob import exact, fan
+from fancob.errors import (
+    AssertionFailed,
+    DependentInput,
+    DimensionMismatch,
+    NullityTooLarge,
+    ZeroVector,
+)
 from fancob.exact import (
     det,
+    dot,
+    is_primitive,
     kernel_relation,
     maximal_minor_gcd,
     nonneg_combination,
+    nullspace_basis,
     primitive,
     rank,
+    solve_in_span,
 )
+from fancob.fan import SimplicialCone
 from conftest import random_unimodular
 
 
@@ -185,3 +199,162 @@ def test_det_examples():
     assert det([[1, 2], [2, 4]]) == 0
     assert det([]) == 1
     assert det([[0, 1, 0], [1, 0, 0], [0, 0, 1]]) == -1
+
+
+# --- differential test against a Fraction reference -------------------------
+
+
+def _rref(rows):
+    """Reference: reduced row echelon form over Fraction, plus pivot columns."""
+    a = [[Fraction(x) for x in r] for r in rows]
+    piv = []
+    for c in range(len(a[0]) if a else 0):
+        r = len(piv)
+        p = next((i for i in range(r, len(a)) if a[i][c] != 0), None)
+        if p is None:
+            continue
+        a[r], a[p] = a[p], a[r]
+        a[r] = [x / a[r][c] for x in a[r]]
+        for i in range(len(a)):
+            f = a[i][c]
+            if i != r and f != 0:
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        piv.append(c)
+    return a, piv
+
+
+def _ref_nullspace(rows, n):
+    red, piv = _rref(rows)
+    basis = []
+    for f in (c for c in range(n) if c not in piv):
+        x = [Fraction(0)] * n
+        x[f] = Fraction(1)
+        for k, c in enumerate(piv):
+            x[c] = -red[k][f]
+        den = lcm(*(v.denominator for v in x))
+        basis.append(primitive([int(v * den) for v in x]))
+    return basis
+
+
+def _ref_kernel_relation(vs):
+    basis = _ref_nullspace([[v[i] for v in vs] for i in range(len(vs[0]))], len(vs))
+    if len(basis) > 1:
+        raise NullityTooLarge
+    if not basis:
+        return None
+    rel = basis[0]
+    return rel if next(x for x in rel if x) > 0 else tuple(-x for x in rel)
+
+
+def _ref_det(m):
+    n = len(m)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i, j in itertools.combinations(range(n), 2))
+        total += (-1) ** inversions * prod(m[i][perm[i]] for i in range(n))
+    return total
+
+
+def _ref_solve(vectors, target):
+    k = len(vectors)
+    red, piv = _rref([[v[i] for v in vectors] + [target[i]] for i in range(len(target))])
+    if piv[:k] != list(range(k)):
+        raise DependentInput
+    if k in piv:
+        return None
+    return tuple(red[i][k] for i in range(k))
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (DependentInput, NullityTooLarge) as exc:
+        return type(exc)
+
+
+def _random_matrix(rng, rows, cols):
+    """Entries up to +-40; about a third of the matrices get a row that is a
+    combination of earlier rows, and some entries are forced to zero."""
+    m = [[rng.randint(-40, 40) if rng.random() < 0.8 else 0 for _ in range(cols)]
+         for _ in range(rows)]
+    if rows > 1 and rng.random() < 0.35:
+        a, b = rng.randint(-3, 3), rng.randint(-3, 3)
+        m[-1] = [a * x + b * y for x, y in zip(m[0], m[-2])]
+    return m
+
+
+def test_kernel_matches_fraction_reference():
+    rng = random.Random(11)
+    seen = set()
+    for _ in range(1500):
+        rows, cols = rng.randint(1, 5), rng.randint(1, 6)
+        m = _random_matrix(rng, rows, cols)
+        _, piv = _rref(m)
+        assert rank(m) == len(piv)
+        assert nullspace_basis(m, cols) == _ref_nullspace(m, cols)
+        vs = [tuple(r) for r in m]
+        relation = _outcome(kernel_relation, vs)
+        assert relation == _outcome(_ref_kernel_relation, vs)
+        seen.add(relation if relation in (None, NullityTooLarge) else "relation")
+        if cols >= rows:
+            square = [r[:rows] for r in m]
+            value = det(square)
+            assert value == _ref_det(square)
+            seen.add("det" if value else "singular")
+        # a target in the span of the first columns, one almost surely off
+        # it, both with Fraction entries
+        columns = [tuple(r[j] for r in m) for j in range(min(cols, rows + 1))]
+        coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in columns]
+        inside = tuple(sum(c * v[i] for c, v in zip(coeffs, columns)) for i in range(rows))
+        other = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(rows))
+        for target in (inside, other):
+            coords = _outcome(solve_in_span, columns, target)
+            assert coords == _outcome(_ref_solve, columns, target)
+            seen.add(coords if coords in (None, DependentInput) else "coords")
+    assert seen == {
+        None, NullityTooLarge, DependentInput, "relation", "det", "singular", "coords",
+    }
+
+
+def test_cone_geometry_on_random_simplicial_cones():
+    rng = random.Random(12)
+    seen = 0
+    while seen < 400:
+        d = rng.randint(2, 5)
+        k = rng.randint(1, d)
+        raw = [tuple(rng.randint(-6, 6) for _ in range(d)) for _ in range(k)]
+        rays = {primitive(r) for r in raw if any(r)}
+        if len(rays) != k or rank(list(rays)) != k:
+            continue
+        cone = SimplicialCone(tuple(rays))
+        seen += 1
+        eqs = fan._span_equalities(cone)
+        assert len(eqs) == d - k and (not eqs or rank(eqs) == d - k)
+        for y in eqs:
+            assert is_primitive(y) and all(dot(y, v) == 0 for v in cone.rays)
+        normals = fan._facet_normals(cone)
+        assert len(normals) == k
+        for i, w in enumerate(normals):
+            assert is_primitive(w)
+            assert all(dot(y, w) == 0 for y in eqs)  # w lies in span(cone)
+            assert dot(w, cone.rays[i]) > 0
+            assert all(dot(w, v) == 0 for j, v in enumerate(cone.rays) if j != i)
+
+
+class TestInvariantChecks:
+    """The library's own certificates raise AssertionFailed, also under -O."""
+
+    def test_kernel_relation_self_check(self, monkeypatch):
+        monkeypatch.setattr(exact, "nullspace_basis", lambda rows, n: [(1,) + (0,) * (n - 1)])
+        with pytest.raises(AssertionFailed):
+            kernel_relation([(1, 0), (0, 1), (1, 1)])
+
+    def test_facet_normal_pairing_check(self, monkeypatch):
+        cone = SimplicialCone(((1, 0, 0), (0, 1, 0)))
+        fan._facet_normals.cache_clear()
+        monkeypatch.setattr(fan, "_scaled_inverse", lambda m: ([[1] * len(m)] * len(m), 1))
+        try:
+            with pytest.raises(AssertionFailed):
+                fan._facet_normals(cone)
+        finally:
+            fan._facet_normals.cache_clear()
