@@ -15,6 +15,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import (
+    AssertionFailed,
     CenterAlreadyRay,
     CenterNotInSupport,
     DegenerateHeights,
@@ -86,7 +87,8 @@ def circuit_of(cone: SimplicialCone) -> Circuit | None:
         return None
     support = [(ray, c) for ray, c in zip(cone.rays, rel) if c != 0]
     pairing = sum(c * height(ray) for ray, c in support)
-    assert pairing != 0, "zero height pairing contradicts simpliciality"
+    if pairing == 0:
+        raise AssertionFailed(f"zero height pairing in {cone} contradicts simpliciality")
     if pairing < 0:
         support = [(ray, -c) for ray, c in support]
     support.sort(key=lambda rc: rc[0])
@@ -123,40 +125,6 @@ def classify(cone: SimplicialCone) -> ConeClass:
     return circuit_class(circuit_of(cone))
 
 
-def _stays_inside(cone: SimplicialCone, point: Vec, direction: Vec) -> bool:
-    """Is point + t*direction in the cone for all sufficiently small t > 0?
-
-    Membership coefficients are affine in t; the test is first-order exact:
-    each coefficient must be positive at t=0, or zero with nonnegative slope,
-    and both point and direction must lie in the cone's span.
-    """
-    solver = fanmod._cone_solver(cone)
-    if solver is not None:
-        # full-dimensional cone: integer coordinates scaled by D
-        inv, d = solver
-        for row in inv:
-            sp = sum(r * x for r, x in zip(row, point))
-            if sp * d > 0:
-                continue
-            if sp == 0 and sum(r * x for r, x in zip(row, direction)) * d >= 0:
-                continue
-            return False
-        return True
-    lam_p = solve_in_span(cone.rays, point)
-    if lam_p is None:
-        return False
-    lam_d = solve_in_span(cone.rays, direction)
-    if lam_d is None:
-        return False
-    for lp, ld in zip(lam_p, lam_d):
-        if lp > 0:
-            continue
-        if lp == 0 and ld >= 0:
-            continue
-        return False
-    return True
-
-
 def independent_faces(fan: Fan) -> list[tuple[Vec, ...]]:
     """Every ray subset of a maximal cone whose projection is linearly
     independent, in canonical order."""
@@ -180,7 +148,7 @@ def boundary(fan: Fan, side: Side) -> tuple[SimplicialCone, ...]:
     out = []
     for face in independent_faces(fan):
         b = tuple(sum(col) for col in zip(*face))
-        if any(_stays_inside(c, b, direction) for c in fan.max_cones):
+        if any(fanmod._stays_inside(c, b, direction) for c in fan.max_cones):
             continue
         out.append(face)
     maximal = [f for f in out if not any(set(f) < set(g) for g in out)]
@@ -262,7 +230,12 @@ def validate_cobordism(
         rep = fanmod.validate_fan(bfan)
         problems += [f"{name}: {p}" for p in rep.problems]
     if not problems and not fanmod.supports_equal(cob.bottom, cob.top):
-        problems.append("bottom and top fans have different supports")
+        for name, other, a, b in (("bottom", "top", cob.bottom, cob.top),
+                                  ("top", "bottom", cob.top, cob.bottom)):
+            cone = fanmod._first_uncovered(a, b)
+            if cone is not None:
+                problems.append(f"{name} cone {cone} is not covered by the {other} fan")
+                break
     if expected_bottom is not None and not fanmod.fans_equal(cob.bottom, expected_bottom):
         problems.append("bottom fan differs from the expected fan")
     if expected_top is not None and not fanmod.fans_equal(cob.top, expected_top):

@@ -14,7 +14,7 @@ import enum
 import itertools
 from dataclasses import dataclass
 
-from .errors import BrokenFan, FrontMismatch, NotCollapsible
+from .errors import AssertionFailed, BrokenFan, FrontMismatch, NotCollapsible
 from .exact import Vec, maximal_minor_gcd, primitive
 from . import fan as fanmod
 from .cobordism import (
@@ -73,9 +73,11 @@ def circuit_graph(cob: Cobordism) -> CollapseGraph:
         key = circ.key
         if key in circuits:
             prev = circuits[key]
-            assert (prev.pos, prev.neg) == (circ.pos, circ.neg), (
-                "circuit sign partition must not depend on the containing cone"
-            )
+            if (prev.pos, prev.neg) != (circ.pos, circ.neg):
+                raise AssertionFailed(
+                    f"circuit {key} splits differently in {cone}: "
+                    "the sign partition must not depend on the containing cone"
+                )
         else:
             circuits[key] = circ
         cones.setdefault(key, []).append(cone)

@@ -75,9 +75,10 @@ def positive_link_centers(cob: Cobordism) -> list[ScheduleEntry]:
             for link in circ.link:
                 center = midray(positive, link)
                 coords = nonneg_combination((positive, link), center)
-                assert coords is not None and all(c > 0 for c in coords), (
-                    "schedule center must sit in the open 2-face"
-                )
+                if coords is None or not all(c > 0 for c in coords):
+                    raise AssertionFailed(
+                        f"schedule center {center} is not in the open 2-face on {positive}, {link}"
+                    )
                 entries.append(ScheduleEntry(cone=cone, center=center))
     return entries
 

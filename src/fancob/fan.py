@@ -5,6 +5,12 @@ order, fans store their maximal cones sorted, so equality and hashing are
 structural and deterministic.  Faces of a simplicial cone are never stored:
 every subset of the rays spans one.
 
+Support containment is decided by one exact, polynomial facet-crossing test
+(covered_by_fan): a cone lies in the support of a valid fan iff its
+full-dimensional pieces cut by the fan's cones exist and every interior
+facet of a piece is crossed into another piece.  The test assumes its fan
+passes validate_fan; supports_equal inherits that precondition.
+
 All values are immutable; every operation returns new values.
 """
 
@@ -26,7 +32,8 @@ from .exact import (
     nullspace_basis,
     primitive,
     rank,
-    vec_neg,
+    solve_in_span,
+    vec_sub,
 )
 
 
@@ -220,10 +227,11 @@ def validate_fan(fan: Fan) -> ValidationReport:
         if sa <= sb or sb <= sa:
             problems.append(f"nested maximal cones: {a} and {b}")
             continue
-        common = sorted(sa & sb)
+        apart = [w for w, r in zip(_facet_normals(a), a.rays) if r not in sb]
         for g in _intersection_generators(a, b):
-            inside = bool(common) and nonneg_combination(common, g) is not None
-            if not inside:
+            # g lies in a, and normal i pairs with ray i alone, so g lies in
+            # the cone on the common rays iff every other normal vanishes on it
+            if any(dot(w, g) for w in apart):
                 problems.append(
                     f"cones {a} and {b} overlap beyond their common face "
                     f"(witness direction {g})"
@@ -277,55 +285,101 @@ def fans_equal(a: Fan, b: Fan) -> bool:
 # --- exact support covering -----------------------------------------------------
 
 
-def _violation_normals(cone: SimplicialCone) -> list[Vec]:
-    """Normals v such that x lies outside the cone iff some <v,x> > 0."""
-    out: list[Vec] = []
-    for e in _span_equalities(cone):
-        out.append(e)
-        out.append(vec_neg(e))
-    for w in _facet_normals(cone):
-        out.append(vec_neg(w))
-    return out
+def _stays_inside(cone: SimplicialCone, point: Vec, direction: Vec) -> bool:
+    """Is point + t*direction in the cone for all sufficiently small t > 0?
 
-
-def _exists_uncovered(gens: list[Vec], cones: list[SimplicialCone], strict: list[Vec]) -> bool:
-    """Is there x in cone(gens) strictly violating every chosen normal and
-    lying outside every cone in `cones`?
-
-    DFS over one strictly violated constraint per cone.  At a leaf the region
-    is cone(gens) and the sum of the generators witnesses strict feasibility
-    iff each strict normal is positive on some generator.
+    Membership coefficients are affine in t; the test is first-order exact:
+    each coefficient must be positive at t=0, or zero with nonnegative slope,
+    and both point and direction must lie in the cone's span.
     """
-    if not gens:
+    solver = _cone_solver(cone)
+    if solver is not None:
+        # full-dimensional cone: integer coordinates scaled by D
+        inv, d = solver
+        for row in inv:
+            sp = sum(r * x for r, x in zip(row, point))
+            if sp * d > 0:
+                continue
+            if sp == 0 and sum(r * x for r, x in zip(row, direction)) * d >= 0:
+                continue
+            return False
+        return True
+    lam_p = solve_in_span(cone.rays, point)
+    if lam_p is None:
         return False
-    if not cones:
-        return all(any(dot(v, g) > 0 for g in gens) for v in strict)
-    cone = cones[0]
-    if all(nonneg_combination(cone.rays, g) is not None for g in gens):
-        return False  # region is inside this cone, so nothing here escapes it
-    for v in _violation_normals(cone):
-        cut = _cut(gens, v)
-        if not cut:
+    lam_d = solve_in_span(cone.rays, direction)
+    if lam_d is None:
+        return False
+    for lp, ld in zip(lam_p, lam_d):
+        if lp > 0:
             continue
-        if not any(dot(v, g) > 0 for g in cut):
+        if lp == 0 and ld >= 0:
             continue
-        if _exists_uncovered(cut, cones[1:], strict + [v]):
-            return True
-    return False
+        return False
+    return True
+
+
+def _vec_sum(vs) -> Vec:
+    return tuple(sum(col) for col in zip(*vs))
 
 
 def covered_by_fan(cone: SimplicialCone, fan: Fan) -> bool:
-    """Exact test: is the cone contained in the fan's support?"""
-    return not _exists_uncovered(list(cone.rays), list(fan.max_cones), [])
+    """Exact test: is the cone contained in the support of a valid fan?
+
+    Facet-crossing test, polynomial in the number of cones.  With k the
+    dimension of the cone, the pieces are the intersections cone ∩ tau of
+    dimension k, tau in the fan.  A facet of a piece cut out by a facet
+    normal of tau is interior when its relative interior lies in the relative
+    interior of the cone; it is crossed when some piece contains x + t*(x - p)
+    for all small t > 0, with x the sum of the facet's generators and p the
+    sum of the piece's.  The cone is covered iff some piece exists and every
+    interior facet is crossed: the uncovered part of the cone would have a
+    (k-1)-dimensional frontier inside interior piece facets.
+
+    Precondition: the fan passes validate_fan.  Then the fan is a product
+    along the relative interior of each interior facet, so one crossing
+    point decides the whole facet; on an invalid fan the verdict is
+    meaningless.
+    """
+    k = cone.dim
+    pieces = []
+    for tau in fan.max_cones:
+        gens = _intersection_generators(cone, tau)
+        if rank(gens) == k:
+            pieces.append((tau, gens))
+    if not pieces:
+        return False
+    inward = _facet_normals(cone)
+    for tau, gens in pieces:
+        p = _vec_sum(gens)
+        for w in _facet_normals(tau):
+            # w >= 0 on the piece, so these generators span piece ∩ {w = 0}
+            face = [g for g in gens if dot(w, g) == 0]
+            if rank(face) != k - 1:
+                continue
+            x = _vec_sum(face)
+            if any(dot(v, x) <= 0 for v in inward):
+                continue  # the facet lies on the cone's boundary
+            u = vec_sub(x, p)
+            if not any(_stays_inside(t, x, u) for t, _ in pieces):
+                return False
+    return True
+
+
+def _first_uncovered(a: Fan, b: Fan) -> SimplicialCone | None:
+    """The first maximal cone of a outside the support of the valid fan b,
+    or None when |a| is contained in |b|."""
+    return next((c for c in a.max_cones if not covered_by_fan(c, b)), None)
 
 
 def supports_equal(a: Fan, b: Fan) -> bool:
-    """Exact equality of |a| and |b| as point sets."""
+    """Exact equality of |a| and |b| as point sets.
+
+    Precondition: both fans pass validate_fan (see covered_by_fan).
+    """
     if a.ambient_dim != b.ambient_dim:
         return False
-    return all(covered_by_fan(c, b) for c in a.max_cones) and all(
-        covered_by_fan(c, a) for c in b.max_cones
-    )
+    return _first_uncovered(a, b) is None and _first_uncovered(b, a) is None
 
 
 # --- documents -------------------------------------------------------------------

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -162,6 +163,16 @@ class TestValidateCobordism:
         report = validate_cobordism(karu, expected_top=orthant_fan())
         assert not report.ok
         assert any("top fan differs" in p for p in report.problems)
+
+    def test_support_mismatch_names_uncovered_cone(self, karu):
+        short_top = replace(karu, top=Fan(3, karu.top.max_cones[:1]))
+        assert validate_cobordism(short_top).problems == (
+            f"bottom cone {karu.bottom.max_cones[0]} is not covered by the top fan",
+        )
+        short_bottom = replace(karu, bottom=Fan(3, (SimplicialCone((E1, E2)),)))
+        assert validate_cobordism(short_bottom).problems == (
+            f"top cone {karu.top.max_cones[0]} is not covered by the bottom fan",
+        )
 
     def test_vertical_ray_rejected(self):
         with pytest.raises(InvalidFan):

@@ -3,13 +3,16 @@
 from __future__ import annotations
 
 import itertools
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import lcm, prod
 
 import pytest
 
-from fancob import exact, fan
+from fancob import cobordism, collapse, demos, exact, fan
 from fancob.errors import (
     AssertionFailed,
     DependentInput,
@@ -358,3 +361,36 @@ class TestInvariantChecks:
                 fan._facet_normals(cone)
         finally:
             fan._facet_normals.cache_clear()
+
+    def test_height_pairing_check(self, monkeypatch):
+        # the first two rays sit at height 0, so the relation (1, -1, 0) pairs to 0
+        monkeypatch.setattr(cobordism, "kernel_relation", lambda projs: (1, -1, 0))
+        with pytest.raises(AssertionFailed):
+            cobordism.circuit_of(SimplicialCone(((0, 1, 0), (1, 0, 0), (1, 1, 1))))
+
+    def test_circuit_sign_partition_check(self, monkeypatch):
+        key = ((0, 1, 0), (1, 0, 0), (1, 1, 1))
+
+        def split_by_cone(cone):
+            return cobordism.Circuit(rays=key, relation=(1, 1, -1), pos=cone.rays[:1], neg=(), link=())
+
+        monkeypatch.setattr(collapse, "circuit_of", split_by_cone)
+        lifted = fan.Fan(3, (SimplicialCone(key[:2]), SimplicialCone(key[1:])))
+        with pytest.raises(AssertionFailed):
+            collapse.circuit_graph(cobordism.Cobordism(2, lifted, (), (), lifted, lifted))
+
+    def test_schedule_center_check(self, monkeypatch, karu):
+        monkeypatch.setattr(demos, "nonneg_combination", lambda rays, p: None)
+        with pytest.raises(AssertionFailed):
+            demos.positive_link_centers(karu)
+
+    def test_checks_survive_optimize_flag(self):
+        here = os.path.dirname(os.path.abspath(__file__))
+        src = os.path.dirname(os.path.dirname(os.path.abspath(fan.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
+             f"{__file__}::TestInvariantChecks", "-k", "not optimize_flag"],
+            cwd=os.path.dirname(here), env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -11,6 +11,7 @@ from fancob.fan import (
     Fan,
     RayNormalized,
     SimplicialCone,
+    _first_uncovered,
     cone_contains,
     covered_by_fan,
     fan_from_doc,
@@ -244,6 +245,19 @@ class TestSupportCover:
         b = Fan(2, (SimplicialCone(((1, 0), (1, 1))),))
         assert not supports_equal(a, b)
         assert covered_by_fan(b.max_cones[0], a)
+
+    def test_first_uncovered_witness(self):
+        whole = p2_fan()
+        part = Fan(2, (whole.max_cones[0],))
+        assert _first_uncovered(whole, part) == whole.max_cones[1]
+        assert _first_uncovered(part, whole) is None
+        assert _first_uncovered(whole, Fan(2, ())) == whole.max_cones[0]
+        assert _first_uncovered(Fan(2, ()), whole) is None
+        a = Fan(2, (SimplicialCone(((1, 0), (0, 1))),))
+        b = Fan(2, (SimplicialCone(((1, 0), (1, 1))),))
+        assert _first_uncovered(a, b) == a.max_cones[0]
+        assert _first_uncovered(b, a) is None
+        assert _first_uncovered(p2_fan(), star_subdivide(p2_fan(), (1, 1))) is None
 
 
 class TestValidateFanAgainstSampling:
