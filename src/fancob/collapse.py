@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import AssertionFailed, BrokenFan, FrontMismatch, NotCollapsible
 from .exact import Vec, maximal_minor_gcd, primitive
@@ -26,22 +26,32 @@ from .cobordism import (
     circuit_of,
     independent_faces,
 )
-from .fan import Fan, SimplicialCone
+from .fan import Fan, SimplicialCone, ValidationReport
 
 CircuitKey = tuple[Vec, ...]
 
 
 @dataclass(frozen=True)
 class CollapseGraph:
-    """Distinct circuits of the maximal cones plus the crossing-order edges."""
+    """Distinct circuits of the maximal cones plus the crossing-order edges.
+
+    The successor lists are built once from the edges, in edge order.
+    """
 
     nodes: tuple[CircuitKey, ...]
     edges: tuple[tuple[CircuitKey, CircuitKey], ...]
     circuits: dict
     cones: dict
+    _succ: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        succ: dict[CircuitKey, list[CircuitKey]] = {}
+        for a, b in self.edges:
+            succ.setdefault(a, []).append(b)
+        object.__setattr__(self, "_succ", succ)
 
     def successors(self, key: CircuitKey) -> list[CircuitKey]:
-        return [b for a, b in self.edges if a == key]
+        return list(self._succ.get(key, ()))
 
 
 class StepKind(enum.Enum):
@@ -184,12 +194,20 @@ def extract_factorization(cob: Cobordism, elide_identity: bool = False) -> list[
     Starting from the bottom fan, each circuit swaps the projections of its
     star's lower faces (one positive ray dropped) for the upper faces (one
     negative ray dropped).  The final front must equal the top fan.
+
+    Each new front is validated incrementally: its cone pairs go through
+    fan._pair_problem in validate_fan's order, except pairs of two cones of
+    the last front that passed.  Every pair of that front was checked (the
+    first crossing checks all pairs, bottom cones included) and passed, so
+    the skipped pairs add no problem and a BrokenFan report is exactly the
+    one validate_fan gives for the new front.
     """
     graph = circuit_graph(cob)
     ok, witness = _collapse_order(graph)
     if not ok:
         raise NotCollapsible(f"circuit graph has the cycle {list(witness)}", witness)
     front = cob.bottom
+    trusted: frozenset[SimplicialCone] = frozenset()
     steps: list[FactorStep] = []
     for key in witness:
         circ = graph.circuits[key]
@@ -206,9 +224,18 @@ def extract_factorization(cob: Cobordism, elide_identity: bool = False) -> list[
             front.ambient_dim,
             tuple((set(front.max_cones) - lower) | upper),
         )
-        report = fanmod.validate_fan(new_front)
-        if not report.ok:
+        problems = []
+        fresh = [(c, c not in trusted) for c in new_front.max_cones]
+        for (a, fresh_a), (b, fresh_b) in itertools.combinations(fresh, 2):
+            if not (fresh_a or fresh_b):
+                continue  # the pair passed in the last front
+            problem = fanmod._pair_problem(a, b)
+            if problem is not None:
+                problems.append(problem)
+        if problems:
+            report = ValidationReport(tuple(problems))
             raise BrokenFan(f"front after crossing {list(key)} is invalid:\n{report}")
+        trusted = frozenset(new_front.max_cones)
         kind_map = {
             ConeClass.UP: StepKind.BLOWUP,
             ConeClass.DOWN: StepKind.BLOWDOWN,
@@ -237,22 +264,49 @@ def _fmt_vec(v: Vec) -> str:
     return "(" + ",".join(str(x) for x in v) + ")"
 
 
-def to_dot(graph: CollapseGraph) -> str:
-    """Graphviz document for the circuit graph; cycle edges are highlighted."""
-    names = {key: f"c{i}" for i, key in enumerate(graph.nodes)}
-
-    def reaches(src: CircuitKey, dst: CircuitKey) -> bool:
-        seen, stack = set(), [src]
+def _components(graph: CollapseGraph) -> dict[CircuitKey, CircuitKey]:
+    """The strongly connected component of every node, named by its root
+    (Kosaraju: finish order on the graph, then sweeps on the reverse)."""
+    finished, seen = [], set()
+    for root in graph.nodes:
+        if root in seen:
+            continue
+        seen.add(root)
+        stack = [(root, iter(graph.successors(root)))]
         while stack:
-            n = stack.pop()
-            if n == dst:
-                return True
-            if n in seen:
-                continue
-            seen.add(n)
-            stack.extend(graph.successors(n))
-        return False
+            node, todo = stack[-1]
+            nxt = next((b for b in todo if b not in seen), None)
+            if nxt is None:
+                stack.pop()
+                finished.append(node)
+            else:
+                seen.add(nxt)
+                stack.append((nxt, iter(graph.successors(nxt))))
+    preds: dict[CircuitKey, list[CircuitKey]] = {}
+    for a, b in graph.edges:
+        preds.setdefault(b, []).append(a)
+    comp: dict[CircuitKey, CircuitKey] = {}
+    for root in reversed(finished):
+        if root in comp:
+            continue
+        comp[root] = root
+        stack = [root]
+        while stack:
+            for a in preds.get(stack.pop(), ()):
+                if a not in comp:
+                    comp[a] = root
+                    stack.append(a)
+    return comp
 
+
+def to_dot(graph: CollapseGraph) -> str:
+    """Graphviz document for the circuit graph; cycle edges are highlighted.
+
+    An edge lies on a cycle iff both its ends are in one strongly connected
+    component.
+    """
+    names = {key: f"c{i}" for i, key in enumerate(graph.nodes)}
+    comp = _components(graph)
     lines = ["digraph circuits {"]
     for key in graph.nodes:
         circ = graph.circuits[key]
@@ -262,8 +316,7 @@ def to_dot(graph: CollapseGraph) -> str:
         )
         lines.append(f'  {names[key]} [label="{label}"];')
     for a, b in graph.edges:
-        on_cycle = reaches(b, a)
-        attr = ' [color=red, penwidth=2]' if on_cycle else ""
+        attr = ' [color=red, penwidth=2]' if comp[a] == comp[b] else ""
         lines.append(f"  {names[a]} -> {names[b]}{attr};")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -205,49 +205,76 @@ def is_smooth(cone: SimplicialCone) -> bool:
     return maximal_minor_gcd(cone.rays) == 1
 
 
+def _positive_rays(cone: SimplicialCone, p) -> tuple[Vec, ...] | None:
+    """The rays with a positive coefficient in the point's (unique) expansion
+    in the cone's generators, or None when the point lies outside the cone.
+
+    Full-dimensional cones use the integer solver: with (N, D) from
+    _cone_solver the coefficients are (N @ p) / D, so only signs of integer
+    (or, for Fraction points, rational) dot products are needed.
+    """
+    if len(p) != cone.ambient_dim:
+        raise DimensionMismatch(f"point dim {len(p)} != cone ambient dim {cone.ambient_dim}")
+    solver = _cone_solver(cone)
+    if solver is None:
+        lam = nonneg_combination(cone.rays, p)
+        if lam is None:
+            return None
+        return tuple(r for r, l in zip(cone.rays, lam) if l > 0)
+    inv, d = solver
+    out = []
+    for row, ray in zip(inv, cone.rays):
+        s = sum(n * x for n, x in zip(row, p)) * d
+        if s < 0:
+            return None
+        if s > 0:
+            out.append(ray)
+    return tuple(out)
+
+
 def cone_contains(cone: SimplicialCone, p) -> bool:
     """Exact membership of a rational point in the cone."""
-    if len(tuple(p)) != cone.ambient_dim:
-        raise DimensionMismatch(
-            f"point dim {len(tuple(p))} != cone ambient dim {cone.ambient_dim}"
-        )
-    return nonneg_combination(cone.rays, p) is not None
+    return _positive_rays(cone, tuple(p)) is not None
+
+
+def _pair_problem(a: SimplicialCone, b: SimplicialCone) -> str | None:
+    """The fan-axiom violation of one pair of maximal cones, or None.
+
+    A pair passes iff the exact intersection equals the cone on the shared
+    rays; nested cones are their own violation.
+    """
+    sa, sb = set(a.rays), set(b.rays)
+    if sa <= sb or sb <= sa:
+        return f"nested maximal cones: {a} and {b}"
+    apart = [w for w, r in zip(_facet_normals(a), a.rays) if r not in sb]
+    for g in _intersection_generators(a, b):
+        # g lies in a, and normal i pairs with ray i alone, so g lies in
+        # the cone on the common rays iff every other normal vanishes on it
+        if any(dot(w, g) for w in apart):
+            return (
+                f"cones {a} and {b} overlap beyond their common face "
+                f"(witness direction {g})"
+            )
+    return None
 
 
 def validate_fan(fan: Fan) -> ValidationReport:
     """Check the fan axioms pairwise and report every violation.
 
-    A pair passes iff the exact intersection equals the cone on the shared
-    rays.  Nested maximal cones are their own violation.
+    Each pair of maximal cones, in combinations order, goes through
+    _pair_problem; the report lists the problems it finds.
     """
-    problems = []
-    cones = fan.max_cones
-    for a, b in itertools.combinations(cones, 2):
-        sa, sb = set(a.rays), set(b.rays)
-        if sa <= sb or sb <= sa:
-            problems.append(f"nested maximal cones: {a} and {b}")
-            continue
-        apart = [w for w, r in zip(_facet_normals(a), a.rays) if r not in sb]
-        for g in _intersection_generators(a, b):
-            # g lies in a, and normal i pairs with ray i alone, so g lies in
-            # the cone on the common rays iff every other normal vanishes on it
-            if any(dot(w, g) for w in apart):
-                problems.append(
-                    f"cones {a} and {b} overlap beyond their common face "
-                    f"(witness direction {g})"
-                )
-                break
-    return ValidationReport(tuple(problems))
+    problems = (_pair_problem(a, b) for a, b in itertools.combinations(fan.max_cones, 2))
+    return ValidationReport(tuple(p for p in problems if p is not None))
 
 
 def minimal_containing_cone(fan: Fan, point) -> SimplicialCone:
     """The unique face of the fan holding the point in its relative interior."""
     point = tuple(point)
     for cone in fan.max_cones:
-        lam = nonneg_combination(cone.rays, point)
-        if lam is None:
-            continue
-        return SimplicialCone(tuple(r for r, l in zip(cone.rays, lam) if l > 0))
+        rays = _positive_rays(cone, point)
+        if rays is not None:
+            return SimplicialCone(rays)
     raise NotInSupport(f"{point} is outside the fan's support")
 
 

@@ -4,12 +4,16 @@ from __future__ import annotations
 
 import dataclasses
 import random
+from math import comb
 
 import pytest
 
+from fancob import fan as fanmod
 from fancob.cobordism import Cobordism, build_cobordism
 from fancob.collapse import (
     StepKind,
+    _components,
+    _projected_face,
     circuit_graph,
     extract_factorization,
     is_collapsible,
@@ -167,6 +171,129 @@ class TestExtractFactorization:
             extract_factorization(doctored)
 
 
+def ring_cobordism(n: int) -> Cobordism:
+    """A complete smooth plane fan with n cones, grown from the projective
+    plane by blowups of adjacent rays, and its 2n centers: a + b for every
+    cone (a, b), then the nested center a + (a + b) for each."""
+    rng = random.Random(0)
+    ring = [(1, 0), (0, 1), (-1, -1)]
+    while len(ring) < n:
+        i = rng.randrange(len(ring))
+        ring.insert(i + 1, tuple(x + y for x, y in zip(ring[i], ring[(i + 1) % len(ring)])))
+    pairs = [(ring[i], ring[(i + 1) % n]) for i in range(n)]
+    fan = Fan(2, tuple(SimplicialCone(p) for p in pairs))
+    mids = [tuple(x + y for x, y in zip(a, b)) for a, b in pairs]
+    nested = [tuple(2 * x + y for x, y in zip(a, b)) for a, b in pairs]
+    return build_cobordism(fan, mids + nested)
+
+
+def full_check_outcome(cob: Cobordism):
+    """The fronts extract_factorization walks, each checked whole by
+    validate_fan: the list of fronts, or the BrokenFan text of the first
+    invalid one."""
+    graph = circuit_graph(cob)
+    ok, order = is_collapsible(cob)
+    assert ok
+    front, fronts = cob.bottom, []
+    for key in order:
+        circ, star = graph.circuits[key], graph.cones[key]
+        lower = {_projected_face(c, p) for c in star for p in circ.pos}
+        upper = {_projected_face(c, n) for c in star for n in circ.neg}
+        front = Fan(front.ambient_dim, tuple((set(front.max_cones) - lower) | upper))
+        report = validate_fan(front)
+        if not report.ok:
+            return f"front after crossing {list(key)} is invalid:\n{report}"
+        fronts.append(front)
+    return fronts
+
+
+def incremental_outcome(cob: Cobordism):
+    try:
+        return [s.result for s in extract_factorization(cob)]
+    except BrokenFan as exc:
+        return str(exc)
+
+
+def differential_corpus(karu):
+    rng = random.Random(31)
+    corpus = [karu, ring_cobordism(8)]
+    for _ in range(12):
+        fan = random_smooth_fan(rng)
+        centers, _ = random_center_sequence(rng, fan)
+        corpus.append(build_cobordism(fan, centers))
+    return corpus
+
+
+class TestIncrementalFrontCheck:
+    """extract_factorization checks only the pairs a crossing creates; its
+    verdicts and BrokenFan texts must be those of whole-front validate_fan."""
+
+    def test_valid_fronts_agree(self, karu):
+        for cob in differential_corpus(karu):
+            assert incremental_outcome(cob) == full_check_outcome(cob)
+
+    def test_fresh_pair_failure_at_every_crossing(self, karu):
+        # a pair check that rejects every pair holding one cone first seen at
+        # crossing k: both checks must fail there, with the same text
+        real = fanmod._pair_problem
+        crossings = 0
+        for cob in differential_corpus(karu):
+            seen = set(cob.bottom.max_cones)
+            for front in full_check_outcome(cob):
+                fresh = set(front.max_cones) - seen
+                seen |= fresh
+                if not fresh:
+                    continue
+                bad = max(fresh, key=lambda c: c.rays)
+
+                def doctored(a, b, bad=bad):
+                    return f"doctored pair {a} and {b}" if bad in (a, b) else real(a, b)
+
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(fanmod, "_pair_problem", doctored)
+                    text = incremental_outcome(cob)
+                    assert text == full_check_outcome(cob)
+                    assert text.endswith(f"\n{validate_fan(front)}")
+                crossings += 1
+        assert crossings >= 30
+
+    def test_broken_fan_after_first_crossing(self, karu):
+        # a cone on the far side of the plane x = 0 shares the face (e2, e3)
+        # with the orthant: fine until the center (0,1,1) splits that face
+        extra = SimplicialCone(((-1, 0, 0), (0, 1, 0), (0, 0, 1)))
+        doctored = dataclasses.replace(karu, bottom=Fan(3, karu.bottom.max_cones + (extra,)))
+        with pytest.raises(BrokenFan) as exc:
+            extract_factorization(doctored)
+        second = extract_factorization(karu)[1].result
+        front = Fan(3, second.max_cones + (extra,))
+        report = validate_fan(front)
+        assert len(report.problems) == 2
+        assert str(exc.value) == f"front after crossing {list(D2)} is invalid:\n{report}"
+        assert str(exc.value) == full_check_outcome(doctored)
+
+    def test_pair_check_count(self, monkeypatch):
+        # all pairs at the first crossing, then only pairs touching a fresh cone
+        cob = ring_cobordism(16)
+        calls = 0
+        real = fanmod._pair_problem
+
+        def counting(a, b):
+            nonlocal calls
+            calls += 1
+            return real(a, b)
+
+        monkeypatch.setattr(fanmod, "_pair_problem", counting)
+        steps = extract_factorization(cob)
+        fronts = [set(s.result.max_cones) for s in steps]
+        assert len(fronts) == 32
+        expected = comb(len(fronts[0]), 2) + sum(
+            comb(len(new), 2) - comb(len(new & old), 2) for old, new in zip(fronts, fronts[1:])
+        )
+        assert calls == expected == 2089
+        # whole-front revalidation would check about 8.5 times as many pairs
+        assert sum(comb(len(f), 2) for f in fronts) == 17744
+
+
 class TestRandomCorpusProperties:
     def test_builds_are_collapsible_with_valid_fronts(self):
         from fancob.fan import supports_equal
@@ -217,7 +344,35 @@ class TestFindCycle:
             assert (s, t) in graph.edges
 
 
+def reaches(graph, src, dst) -> bool:
+    seen, stack = set(), [src]
+    while stack:
+        n = stack.pop()
+        if n == dst:
+            return True
+        if n not in seen:
+            seen.add(n)
+            stack.extend(graph.successors(n))
+    return False
+
+
 class TestExports:
+    def test_components_match_reachability(self):
+        # both ends of an edge share a component iff the head reaches the tail
+        from fancob.collapse import CollapseGraph
+
+        rng = random.Random(7)
+        for _ in range(300):
+            nodes = tuple((i,) for i in range(rng.randint(1, 9)))
+            edges = tuple(sorted(
+                (a, b) for a in nodes for b in nodes if a != b and rng.random() < 0.2
+            ))
+            graph = CollapseGraph(nodes, edges, {}, {})
+            comp = _components(graph)
+            assert set(comp) == set(nodes)
+            for a, b in edges:
+                assert (comp[a] == comp[b]) == reaches(graph, b, a)
+
     def test_dot_highlights_cycle(self, cyclic):
         graph = circuit_graph(cyclic)
         dot = to_dot(graph)

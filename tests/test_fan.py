@@ -3,15 +3,18 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 
-from fancob.errors import DependentInput, NotInSupport, ParseError
+from fancob.errors import DependentInput, DimensionMismatch, NotInSupport, ParseError
+from fancob.exact import nonneg_combination, primitive
 from fancob.fan import (
     Fan,
     RayNormalized,
     SimplicialCone,
     _first_uncovered,
+    _positive_rays,
     cone_contains,
     covered_by_fan,
     fan_from_doc,
@@ -75,6 +78,44 @@ class TestConeContains:
 
     def test_lower_dimensional(self):
         assert cone_contains(SimplicialCone(((1, 1, 0), (0, 0, 1))), (1, 1, 1))
+
+
+    def test_integer_solver_agrees_with_fraction_solve(self):
+        # full-dimensional cones take the integer path, lower-dimensional ones
+        # nonneg_combination; both must give the oracle's positive rays
+        rng = random.Random(13)
+        cones = 0
+        while cones < 300:
+            d = rng.randint(2, 4)
+            rays = {primitive(v) for v in (
+                tuple(rng.randint(-3, 3) for _ in range(d)) for _ in range(rng.randint(1, d))
+            ) if any(v)}
+            try:
+                cone = SimplicialCone(tuple(rays))
+            except DependentInput:
+                continue
+            cones += 1
+            for _ in range(6):
+                lam = [rng.choice((0, 0, 1, 2, -1)) for _ in cone.rays]
+                p = tuple(sum(l * r[i] for l, r in zip(lam, cone.rays)) for i in range(d))
+                for q in (p, tuple(rng.randint(-3, 3) for _ in range(d))):
+                    q = tuple(Fraction(x, 3) for x in q) if rng.random() < 0.3 else q
+                    coeffs = nonneg_combination(cone.rays, q)
+                    want = None if coeffs is None else tuple(
+                        r for r, c in zip(cone.rays, coeffs) if c > 0
+                    )
+                    assert _positive_rays(cone, q) == want
+                    assert cone_contains(cone, q) == (want is not None)
+                    if want:
+                        found = minimal_containing_cone(Fan(d, (cone,)), q)
+                        assert found == SimplicialCone(want)
+
+    def test_dimension_mismatch(self):
+        cone = SimplicialCone(((1, 0), (0, 1)))
+        with pytest.raises(DimensionMismatch):
+            cone_contains(cone, (1, 1, 1))
+        with pytest.raises(DimensionMismatch):
+            minimal_containing_cone(Fan(2, (cone,)), (1, 1, 1))
 
 
 class TestValidateFan:
