@@ -229,7 +229,8 @@ def validate_cobordism(
     for name, bfan in (("bottom", cob.bottom), ("top", cob.top)):
         rep = fanmod.validate_fan(bfan)
         problems += [f"{name}: {p}" for p in rep.problems]
-    if not problems and not fanmod.supports_equal(cob.bottom, cob.top):
+    if not problems:
+        # one covering pass per direction, stopping at the first witness
         for name, other, a, b in (("bottom", "top", cob.bottom, cob.top),
                                   ("top", "bottom", cob.top, cob.bottom)):
             cone = fanmod._first_uncovered(a, b)

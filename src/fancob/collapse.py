@@ -14,7 +14,7 @@ import enum
 import itertools
 from dataclasses import dataclass, field
 
-from .errors import AssertionFailed, BrokenFan, FrontMismatch, NotCollapsible
+from .errors import AssertionFailed, BrokenFan, FrontMismatch, InvalidFan, NotCollapsible
 from .exact import Vec, maximal_minor_gcd, primitive
 from . import fan as fanmod
 from .cobordism import (
@@ -188,6 +188,14 @@ def _projected_face(cone: SimplicialCone, dropped: Vec) -> SimplicialCone:
     )
 
 
+_STEP_KIND = {
+    ConeClass.UP: StepKind.BLOWUP,
+    ConeClass.DOWN: StepKind.BLOWDOWN,
+    ConeClass.UPDOWN: StepKind.IDENTITY,
+    ConeClass.MIXED: StepKind.FLIP,
+}
+
+
 def extract_factorization(cob: Cobordism, elide_identity: bool = False) -> list[FactorStep]:
     """Cross the circuits in topological order and record each front move.
 
@@ -236,13 +244,9 @@ def extract_factorization(cob: Cobordism, elide_identity: bool = False) -> list[
             report = ValidationReport(tuple(problems))
             raise BrokenFan(f"front after crossing {list(key)} is invalid:\n{report}")
         trusted = frozenset(new_front.max_cones)
-        kind_map = {
-            ConeClass.UP: StepKind.BLOWUP,
-            ConeClass.DOWN: StepKind.BLOWDOWN,
-            ConeClass.UPDOWN: StepKind.IDENTITY,
-            ConeClass.MIXED: StepKind.FLIP,
-        }
-        kind = kind_map[circuit_class(circ)]
+        kind = _STEP_KIND.get(circuit_class(circ))
+        if kind is None:
+            raise InvalidFan(f"circuit {list(key)} is degenerate: its relation has one sign")
         if kind is StepKind.BLOWUP:
             center = primitive(base_part(circ.pos[0]))
         elif kind is StepKind.BLOWDOWN:

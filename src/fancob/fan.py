@@ -11,6 +11,14 @@ full-dimensional pieces cut by the fan's cones exist and every interior
 facet of a piece is crossed into another piece.  The test assumes its fan
 passes validate_fan; supports_equal inherits that precondition.
 
+Both pair questions, the fan axiom (_pair_problem) and the pieces of the
+support test, first look for a separating facet certificate
+(_separating_zeros): a facet normal w of one cone is >= 0 on that cone, so
+when w <= 0 on every ray of the other cone the intersection lies in the
+cone on the other's rays where w vanishes.  Every step is an integer sign
+test, so a certificate is a proof; only pairs without one take the
+double-description pass (_intersection_generators).
+
 All values are immutable; every operation returns new values.
 """
 
@@ -20,6 +28,7 @@ import itertools
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import mul
 
 from .errors import AssertionFailed, DependentInput, DimensionMismatch, NotInSupport, ParseError
 from .exact import (
@@ -127,14 +136,18 @@ class ValidationReport:
 
 # --- per-cone exact geometry --------------------------------------------------
 
+# Entries per geometry cache: far above the cones any one fan or cobordism
+# touches, and a bound on what a long-lived process keeps.
+_GEOMETRY_CACHE_SIZE = 4096
 
-@lru_cache(maxsize=None)
+
+@lru_cache(maxsize=_GEOMETRY_CACHE_SIZE)
 def _span_equalities(cone: SimplicialCone) -> tuple[Vec, ...]:
     """Integer normals y with <y, x> = 0 exactly on span(cone)."""
     return tuple(nullspace_basis(cone.rays, cone.ambient_dim))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_GEOMETRY_CACHE_SIZE)
 def _cone_solver(cone: SimplicialCone):
     """Integer solver for full-dimensional cones: with (N, D) = (D * M^-1, D)
     for the generator matrix M, the coordinates of x in the generator basis
@@ -145,7 +158,7 @@ def _cone_solver(cone: SimplicialCone):
     return _scaled_inverse([[r[i] for r in cone.rays] for i in range(d)])
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_GEOMETRY_CACHE_SIZE)
 def _facet_normals(cone: SimplicialCone) -> tuple[Vec, ...]:
     """Inward facet normals within the span, one per ray.
 
@@ -200,6 +213,32 @@ def _intersection_generators(a: SimplicialCone, b: SimplicialCone) -> list[Vec]:
     return gens
 
 
+def _separating_zeros(a: SimplicialCone, b: SimplicialCone) -> tuple[Vec, ...] | None:
+    """Rays of b spanning a cone that holds a ∩ b, proved by facet normals of
+    a; None when no facet normal of a is <= 0 on all of b.
+
+    A facet normal w of a is >= 0 on a (also for lower-dimensional a: the
+    normals live in its span).  When w <= 0 on every ray of b, a ∩ b lies in
+    b ∩ {w = 0}, the cone on the rays of b where w vanishes.  Cones on
+    subsets of the independent rays of b meet in the cone on the common
+    subset, so the rays where every such w vanishes hold a ∩ b.
+    """
+    zeros = None
+    for w in _facet_normals(a):
+        z = set()
+        for r in b.rays:
+            s = sum(map(mul, w, r))
+            if s > 0:
+                break
+            if s == 0:
+                z.add(r)
+        else:
+            zeros = z if zeros is None else zeros & z
+    if zeros is None:
+        return None
+    return tuple(r for r in b.rays if r in zeros)
+
+
 def is_smooth(cone: SimplicialCone) -> bool:
     """True iff the generators extend to a lattice basis (minor gcd 1)."""
     return maximal_minor_gcd(cone.rays) == 1
@@ -241,11 +280,20 @@ def _pair_problem(a: SimplicialCone, b: SimplicialCone) -> str | None:
     """The fan-axiom violation of one pair of maximal cones, or None.
 
     A pair passes iff the exact intersection equals the cone on the shared
-    rays; nested cones are their own violation.
+    rays; nested cones are their own violation.  A separating certificate
+    (_separating_zeros, from either cone) whose rays are all shared proves
+    a ∩ b = cone(shared) outright: that cone lies in both.  Other pairs run
+    the double-description pass, so every message and witness is the one
+    it gives.
     """
     sa, sb = set(a.rays), set(b.rays)
     if sa <= sb or sb <= sa:
         return f"nested maximal cones: {a} and {b}"
+    shared = sa & sb
+    for x, y in ((a, b), (b, a)):
+        zeros = _separating_zeros(x, y)
+        if zeros is not None and shared.issuperset(zeros):
+            return None
     apart = [w for w, r in zip(_facet_normals(a), a.rays) if r not in sb]
     for g in _intersection_generators(a, b):
         # g lies in a, and normal i pairs with ray i alone, so g lies in
@@ -367,10 +415,21 @@ def covered_by_fan(cone: SimplicialCone, fan: Fan) -> bool:
     along the relative interior of each interior facet, so one crossing
     point decides the whole facet; on an invalid fan the verdict is
     meaningless.
+
+    A tau is skipped without the double-description pass when cone ∩ tau
+    provably has dimension < k: tau has fewer than k rays, a facet normal
+    of the cone is <= 0 on tau (the intersection lies in a facet of the
+    cone), or a facet normal of tau is <= 0 on the cone and nonzero on one
+    of its rays (the intersection lies in a proper face of the cone).
     """
     k = cone.dim
     pieces = []
     for tau in fan.max_cones:
+        if tau.dim < k or _separating_zeros(cone, tau) is not None:
+            continue
+        zeros = _separating_zeros(tau, cone)
+        if zeros is not None and len(zeros) < k:
+            continue
         gens = _intersection_generators(cone, tau)
         if rank(gens) == k:
             pieces.append((tau, gens))

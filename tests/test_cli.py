@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import random
+import time
 
 import pytest
 
@@ -270,3 +272,135 @@ class TestParseCenters:
     def test_bad_syntax(self, bad):
         with pytest.raises(ParseError):
             parse_centers(bad, 3)
+
+
+# --- fuzz: malformed and oversized documents -------------------------------------
+
+HUGE = 10**40
+
+
+def _vector(rng: random.Random, dim: int) -> list:
+    while True:
+        v = [rng.randint(-2, 2) for _ in range(dim)]
+        if any(v):
+            return v
+
+
+def _fan_doc(rng: random.Random, dim: int) -> dict:
+    rays = [_vector(rng, dim) for _ in range(rng.randint(1, 5))]
+    cones = [rng.sample(range(len(rays)), rng.randint(1, min(dim, len(rays))))
+             for _ in range(rng.randint(0, 4))]
+    return {"dim": dim, "rays": rays, "max_cones": cones}
+
+
+def _cob_doc(rng: random.Random, base_dim: int) -> dict:
+    fan = _fan_doc(rng, base_dim + 1)
+    doc = {"base_dim": base_dim, "rays": fan["rays"], "max_cones": fan["max_cones"]}
+    for side in ("bottom", "top"):
+        if rng.random() < 0.4:
+            doc[side] = _fan_doc(rng, base_dim)
+    return doc
+
+
+def _bad_value(rng: random.Random):
+    return rng.choice([None, True, False, 1.5, "3", [], {}, -1, 0, HUGE, [None], ["a"]])
+
+
+def _mutate(rng: random.Random, doc: dict, dim_key: str):
+    """One malformed or extreme edit of a fan or cobordism document; a
+    document already too broken to edit stays as it is."""
+    if not isinstance(doc, dict):
+        return doc
+    rays, cones = doc.get("rays"), doc.get("max_cones")
+    if not (isinstance(rays, list) and rays and isinstance(rays[0], list) and rays[0]
+            and isinstance(cones, list)):
+        return doc
+    dim = len(rays[0])
+    edit = rng.randrange(13)
+    if edit == 0:
+        return rng.choice([None, [], "fan", 7, [doc]])
+    if edit == 1:
+        doc[dim_key] = _bad_value(rng)
+    elif edit == 2:
+        doc.pop(rng.choice([dim_key, "rays", "max_cones"]), None)
+    elif edit == 3:
+        doc[rng.choice(["rays", "max_cones"])] = _bad_value(rng)
+    elif edit == 4:
+        rays[rng.randrange(len(rays))] = rng.choice(
+            [[], [1.0] * dim, [True] + [0] * (dim - 1), [None] * dim, [[1]] * dim, "1"])
+    elif edit == 5:
+        rays[rng.randrange(len(rays))] = _vector(rng, rng.choice([d for d in range(1, 8) if d != dim]))
+    elif edit == 6:
+        rays[rng.randrange(len(rays))] = [0] * dim
+    elif edit == 7:
+        i = rng.randrange(len(rays))
+        if isinstance(rays[i], list) and all(type(x) is int for x in rays[i]):
+            rays[i] = [x * HUGE + rng.randint(-1, 1) for x in rays[i]]
+    elif edit == 8:
+        cones.append(rng.choice([[], [True], [None], [-1], [len(rays)], [0, 0], [0.0], "0", 0]))
+    elif edit == 9:
+        doc["max_cones"] = []
+    elif edit == 10 and dim_key == "base_dim":
+        # a vertical ray: zero projection to the base
+        rays.append([0] * (dim - 1) + [rng.choice((1, -1))])
+        cones.append([len(rays) - 1] + rng.sample(range(len(rays) - 1), rng.randint(0, 1)))
+    elif edit == 11 and dim_key == "base_dim":
+        doc[rng.choice(["bottom", "top"])] = rng.choice(
+            [_fan_doc(rng, rng.randint(1, 6)), _bad_value(rng), {"dim": dim - 1}])
+    elif edit == 12:
+        rays.append([2 * x for x in _vector(rng, dim)])  # normalized with a warning
+    return doc
+
+
+def _centers(rng: random.Random, dim: int) -> str:
+    def vec():
+        d = dim if rng.random() < 0.8 else rng.randint(1, 7)
+        v = _vector(rng, d) if rng.random() < 0.9 else [0] * d
+        if rng.random() < 0.1:
+            v = [x * HUGE for x in v]
+        return "(" + ",".join(map(str, v)) + ")"
+
+    text = ";".join(vec() for _ in range(rng.randint(0, 3)))
+    return text if rng.random() < 0.95 else text + ";(1,x)"
+
+
+class TestFuzz:
+    """Every document ends in exit code 0, 1 or 2 from cli.main, with no
+    exception escaping and in bounded time.  Base dimensions stay small:
+    cobordism.independent_faces enumerates every subset of each lifted
+    cone's rays, so wide cones are deliberately out of scope here."""
+
+    @pytest.mark.filterwarnings("ignore::fancob.fan.RayNormalized")
+    def test_malformed_documents(self, capsys, tmp_path):
+        rng = random.Random(5)
+        codes = {0: 0, 1: 0, 2: 0}
+        slowest = 0.0
+        for i in range(160):
+            dim = rng.randint(1, 6)
+            fan_doc = _fan_doc(rng, dim)
+            cob_doc = _cob_doc(rng, min(dim, 5))
+            for _ in range(rng.randint(0, 2)):
+                fan_doc = _mutate(rng, fan_doc, "dim")
+                cob_doc = _mutate(rng, cob_doc, "base_dim")
+            fan_path, cob_path = tmp_path / f"{i}.fan", tmp_path / f"{i}.cob"
+            fan_path.write_text(json.dumps(fan_doc))
+            cob_path.write_text(json.dumps(cob_doc))
+            calls = [
+                ["validate", str(fan_path)],
+                ["validate", str(cob_path)],
+                ["circuits", str(cob_path)],
+                ["collapse", str(cob_path)],
+                ["factorize", str(cob_path)],
+                ["build", str(fan_path), "--centers", _centers(rng, dim), "--out", str(tmp_path / "b.cob")],
+            ]
+            for argv in calls:
+                if rng.random() < 0.3:
+                    argv = ["--json"] + argv
+                start = time.perf_counter()
+                code = main(argv)
+                slowest = max(slowest, time.perf_counter() - start)
+                err = capsys.readouterr().err
+                assert code in codes and "Traceback" not in err, (argv, fan_doc, cob_doc, err)
+                codes[code] += 1
+        assert slowest < 10, slowest
+        assert min(codes.values()) >= 50, codes

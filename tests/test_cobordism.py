@@ -7,6 +7,7 @@ from dataclasses import replace
 
 import pytest
 
+from fancob import fan as fanmod
 from fancob.cobordism import (
     Cobordism,
     ConeClass,
@@ -173,6 +174,29 @@ class TestValidateCobordism:
         assert validate_cobordism(short_bottom).problems == (
             f"top cone {karu.top.max_cones[0]} is not covered by the bottom fan",
         )
+
+    def test_support_mismatch_covers_each_cone_once(self, karu, monkeypatch):
+        # one covering pass per direction, stopping at the first witness
+        calls = []
+        real = fanmod.covered_by_fan
+
+        def counting(cone, fan):
+            calls.append((cone, fan))
+            return real(cone, fan)
+
+        monkeypatch.setattr(fanmod, "covered_by_fan", counting)
+        short_top = replace(karu, top=Fan(3, karu.top.max_cones[:1]))
+        assert validate_cobordism(short_top).problems == (
+            f"bottom cone {karu.bottom.max_cones[0]} is not covered by the top fan",
+        )
+        assert calls == [(karu.bottom.max_cones[0], short_top.top)]
+        calls.clear()
+        short_bottom = replace(karu, bottom=Fan(3, (SimplicialCone((E1, E2)),)))
+        assert validate_cobordism(short_bottom).problems == (
+            f"top cone {karu.top.max_cones[0]} is not covered by the bottom fan",
+        )
+        assert calls == [(c, karu.top) for c in short_bottom.bottom.max_cones] + [
+            (karu.top.max_cones[0], short_bottom.bottom)]
 
     def test_vertical_ray_rejected(self):
         with pytest.raises(InvalidFan):

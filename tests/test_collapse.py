@@ -21,7 +21,7 @@ from fancob.collapse import (
     to_dot,
     transcript,
 )
-from fancob.errors import BrokenFan, FrontMismatch, NotCollapsible
+from fancob.errors import BrokenFan, FrontMismatch, InvalidFan, NotCollapsible
 from fancob.fan import Fan, SimplicialCone, fans_equal, is_smooth, star_subdivide, validate_fan
 from conftest import orthant_fan, random_center_sequence, random_smooth_fan
 
@@ -155,6 +155,12 @@ class TestExtractFactorization:
         assert len(cob.bottom.max_cones) == len(cob.top.max_cones) == 2
         assert not fans_equal(cob.bottom, cob.top)
         assert fans_equal(steps[0].result, cob.top)
+
+    def test_degenerate_circuit_is_invalid(self):
+        # a circuit of one sign names no blowup, blowdown or flip
+        cob = Cobordism.from_fan(Fan(2, (SimplicialCone(((1, 1), (-1, 1))),)), 1)
+        with pytest.raises(InvalidFan, match="circuit .* is degenerate"):
+            extract_factorization(cob)
 
     def test_front_mismatch(self, karu):
         doctored = dataclasses.replace(karu, bottom=karu.top)
@@ -292,6 +298,26 @@ class TestIncrementalFrontCheck:
         assert calls == expected == 2089
         # whole-front revalidation would check about 8.5 times as many pairs
         assert sum(comb(len(f), 2) for f in fronts) == 17744
+
+    def test_double_description_count(self, monkeypatch):
+        # every pair of the lifted ring fan has a separating facet certificate,
+        # and the support check runs the double-description pass only on the
+        # 48 pieces in each direction
+        cob = ring_cobordism(16)
+        calls = 0
+        real = fanmod._intersection_generators
+
+        def counting(a, b):
+            nonlocal calls
+            calls += 1
+            return real(a, b)
+
+        monkeypatch.setattr(fanmod, "_intersection_generators", counting)
+        assert validate_fan(cob.fan).ok
+        assert calls == 0
+        assert fanmod._first_uncovered(cob.bottom, cob.top) is None
+        assert fanmod._first_uncovered(cob.top, cob.bottom) is None
+        assert len(cob.top.max_cones) == 48 and calls == 96
 
 
 class TestRandomCorpusProperties:

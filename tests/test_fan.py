@@ -7,14 +7,18 @@ from fractions import Fraction
 
 import pytest
 
-from fancob.errors import DependentInput, DimensionMismatch, NotInSupport, ParseError
+from fancob import fan as fanmod
+from fancob.errors import DependentInput, DimensionMismatch, NotInSupport, ParseError, ZeroVector
 from fancob.exact import nonneg_combination, primitive
 from fancob.fan import (
     Fan,
     RayNormalized,
     SimplicialCone,
     _first_uncovered,
+    _intersection_generators,
+    _pair_problem,
     _positive_rays,
+    _separating_zeros,
     cone_contains,
     covered_by_fan,
     fan_from_doc,
@@ -347,6 +351,107 @@ class TestValidateFanAgainstSampling:
                 if cone_contains(b, p) and not in_common(p):
                     assert flagged, (a, b, p)
                     break
+
+
+def _random_ray(rng: random.Random, d: int):
+    while True:
+        v = tuple(rng.randint(-3, 3) for _ in range(d))
+        if any(v):
+            return primitive(v)
+
+
+def _combination(rng: random.Random, rays, sign: int = 1):
+    weights = [sign * rng.randint(1, 2) for _ in rays]
+    return tuple(sum(w * r[i] for w, r in zip(weights, rays)) for i in range(len(rays[0])))
+
+
+def random_cone_pair(rng: random.Random, d: int):
+    """Two cones in dim d, full or lower-dimensional, sharing 0..k-1 rays of
+    the first.  The second's other rays are random, or on the far side of
+    the first (its non-shared rays negated), with possibly one of them moved
+    onto a proper face of the first (touching it past the shared rays) or by
+    one lattice step (which can overlap)."""
+    while True:
+        try:
+            a = SimplicialCone(tuple({_random_ray(rng, d) for _ in range(rng.randint(1, d))}))
+            shared = rng.sample(a.rays, rng.randint(0, a.dim - 1))
+            rest = [r for r in a.rays if r not in shared]
+            count = rng.randint(1, d - len(shared))
+            kind = rng.randrange(4)
+            if kind == 0:
+                new = [_random_ray(rng, d) for _ in range(count)]
+            else:
+                new = []
+                for _ in range(count):
+                    far = _combination(rng, rng.sample(rest, rng.randint(1, len(rest))), -1)
+                    new.append(tuple(x + y for x, y in zip(far, _combination(rng, shared or [far]))))
+            if kind == 2 and len(rest) > 1 and a.dim > 2:
+                # inside the facet of a opposite ray i, off its rays
+                i, j = rng.sample(rest, 2)
+                others = [r for r in a.rays if r not in (i, j)]
+                new[0] = _combination(rng, [j] + rng.sample(others, rng.randint(1, len(others))))
+            elif kind == 3:
+                i = rng.randrange(d)
+                new[0] = tuple(x + (rng.choice((1, -1)) if j == i else 0) for j, x in enumerate(new[0]))
+            b = SimplicialCone(tuple(set(shared) | {primitive(v) for v in new}))
+        except (ValueError, ZeroVector, DependentInput):
+            continue
+        return a, b
+
+
+class TestSeparatingCertificate:
+    """_separating_zeros lets _pair_problem and covered_by_fan skip the
+    double-description pass; the skip must never change an answer."""
+
+    def test_pair_problem_matches_double_description(self, monkeypatch):
+        rng = random.Random(41)
+        pairs = [random_cone_pair(rng, d) for d in (2, 3, 4) for _ in range(700)]
+        certified = [_pair_problem(a, b) for a, b in pairs]
+        monkeypatch.setattr(fanmod, "_separating_zeros", lambda a, b: None)
+        assert certified == [_pair_problem(a, b) for a, b in pairs]
+        assert 150 <= sum(p is not None for p in certified) <= len(pairs) - 150
+
+    def test_certificates_hold(self):
+        # a certified pair meets inside the cone on the certificate's rays,
+        # and the pairs whose certificate reaches past the shared rays include
+        # real overlaps, which only the double-description pass may judge
+        rng = random.Random(42)
+        kinds = {"shared": 0, "past_shared_overlap": 0, "none": 0}
+        for d in (2, 3, 4):
+            for _ in range(700):
+                a, b = random_cone_pair(rng, d)
+                shared = set(a.rays) & set(b.rays)
+                for x, y in ((a, b), (b, a)):
+                    zeros = _separating_zeros(x, y)
+                    if zeros is None:
+                        kinds["none"] += 1
+                        continue
+                    assert set(zeros) <= set(y.rays)
+                    for g in _intersection_generators(x, y):
+                        assert zeros and nonneg_combination(zeros, g) is not None, (x, y, zeros, g)
+                    if shared.issuperset(zeros):
+                        kinds["shared"] += 1
+                    elif not (shared >= set(a.rays) or shared >= set(b.rays)) and _pair_problem(a, b):
+                        kinds["past_shared_overlap"] += 1
+        assert kinds["shared"] >= 1000 and kinds["none"] >= 300, kinds
+        assert kinds["past_shared_overlap"] >= 60, kinds
+
+
+class TestGeometryCaches:
+    def test_bounded(self):
+        caches = (fanmod._span_equalities, fanmod._cone_solver, fanmod._facet_normals)
+        bound = fanmod._GEOMETRY_CACHE_SIZE
+        try:
+            for n in range(bound + 100):
+                cone = SimplicialCone(((1, 0, 0), (n, 1, 0)))
+                for cache in caches:
+                    cache(cone)
+            for cache in caches:
+                assert cache.cache_info().maxsize == bound
+                assert cache.cache_info().currsize == bound
+        finally:
+            for cache in caches:
+                cache.cache_clear()
 
 
 class TestSupportCoverCompleteness:

@@ -8,6 +8,7 @@ import json
 import random
 import time
 
+from fancob import fan as fanmod
 from fancob.cli import main
 from fancob.cobordism import build_cobordism, cobordism_to_doc
 from fancob.collapse import extract_factorization
@@ -152,6 +153,33 @@ class TestDifferentialAgainstDFS:
                         assert covered_by_fan(q, target) == expected, (q, target.max_cones)
                         verdicts[expected] += 1
             assert min(verdicts.values()) >= 300 and impure >= 10, (d, verdicts, impure)
+
+
+class TestSeparatingCertificate:
+    def test_covered_by_fan_matches_double_description(self, monkeypatch):
+        # the certificate skips only cones tau that could never yield a piece
+        rng = random.Random(2025)
+        cases = []
+        for d in (2, 3, 4):
+            for _ in range(60):
+                whole, fan = random_valid_fan(rng, d)
+                other = _subdivide(rng, whole)
+                cases += [(q, target) for target in (whole, fan) for q in random_queries(rng, whole, other)]
+        calls = 0
+        real = fanmod._intersection_generators
+
+        def counting(a, b):
+            nonlocal calls
+            calls += 1
+            return real(a, b)
+
+        monkeypatch.setattr(fanmod, "_intersection_generators", counting)
+        certified = [covered_by_fan(q, target) for q, target in cases]
+        with_certificate, calls = calls, 0
+        monkeypatch.setattr(fanmod, "_separating_zeros", lambda a, b: None)
+        assert certified == [covered_by_fan(q, target) for q, target in cases]
+        assert min(certified.count(True), certified.count(False)) >= 500
+        assert with_certificate < calls // 2, (with_certificate, calls)
 
 
 # --- bounded time on the deepest octahedral tower ---------------------------------
