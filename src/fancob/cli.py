@@ -1,15 +1,17 @@
 """Command-line surface: file I/O, reports, and exit codes.
 
 Exit codes: 0 when every check passed, 1 when a geometric check failed
-(invalid fan, not collapsible where required, a demo census deviation),
-2 for input or parse errors.  All geometry lives in the library modules;
-this module only loads documents, calls them, and prints.
+(invalid fan, not collapsible where required, a demo census deviation) or
+stdout was closed before the report was written, 2 for input or parse
+errors.  All geometry lives in the library modules; this module only loads
+documents, calls them, and prints.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from dataclasses import dataclass, field
@@ -315,7 +317,17 @@ def main(argv=None) -> int:
     except FancobError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    return _emit(result, args.json)
+    try:
+        code = _emit(result, args.json)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader went away (e.g. `| head`); point stdout at devnull so
+        # the interpreter's final flush cannot fail again, as the signal
+        # module documentation recommends for SIGPIPE
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
+    return code
 
 
 def entry() -> None:

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 
 from .errors import (
     AssertionFailed,
@@ -127,7 +128,8 @@ def classify(cone: SimplicialCone) -> ConeClass:
 
 def independent_faces(fan: Fan) -> list[tuple[Vec, ...]]:
     """Every ray subset of a maximal cone whose projection is linearly
-    independent, in canonical order."""
+    independent, in canonical order.  Exponential in the cone width: only
+    the enumeration in boundary uses it."""
     faces = set()
     for cone in fan.max_cones:
         for k in range(1, len(cone.rays) + 1):
@@ -141,6 +143,9 @@ def boundary(fan: Fan, side: Side) -> tuple[SimplicialCone, ...]:
     A face qualifies when its barycenter, nudged by -e_{d+1} (lower) or
     +e_{d+1} (upper), leaves the support for every sufficiently small nudge;
     the test runs exactly, cone by cone, with symbolic first-order epsilon.
+    This enumeration holds for any cone collection, fan or not, and takes
+    time exponential in the cone width; Cobordism.from_fan runs it only
+    where _facet_boundary does not apply.
     """
     d1 = fan.ambient_dim
     step = -1 if side is Side.LOWER else 1
@@ -155,6 +160,68 @@ def boundary(fan: Fan, side: Side) -> tuple[SimplicialCone, ...]:
     return tuple(SimplicialCone(f) for f in maximal)
 
 
+def _facet_boundary(fan: Fan):
+    """(lower faces, upper faces) of a valid lifted fan, read off its facets,
+    exactly as boundary gives them; None when the fan has a
+    lower-dimensional maximal cone whose projection is dependent.
+
+    Precondition: the fan passes validate_fan.  With e the height direction:
+
+    - A full-dimensional cone sigma writes -e (+e) in its generators
+      through the cached _cone_solver; the coefficient at ray v has the
+      sign of -row_v[-1] * D (row_v[-1] * D).  The facet F = sigma minus v
+      is a lower (upper) face iff that coefficient is negative and F is a
+      facet of no other maximal cone.  The nudge from the barycenter of F
+      leaves sigma exactly when the coefficient is negative.  Any other
+      cone the nudge enters holds the barycenter, so in a valid fan it has
+      F as a face, hence as a facet (F itself is no maximal cone: two
+      maximal cones would be nested), and it lies on the far side of F, so
+      a shared facet is always entered.  A nonzero coefficient puts v in
+      the circuit (the coefficients are a relation of the projections), so
+      F is projection-independent, and no independent face is larger.
+    - A lower-dimensional maximal cone that is projection-independent is a
+      face on both sides: -e and +e lie outside its span, and a cone that
+      the nudge from its relative interior enters would have it as a face,
+      so two maximal cones would be nested.
+    - No other face is maximal.  A qualifying face G in no lower-dimensional
+      maximal cone lies in a facet of the first kind: walk up from a
+      generic point just below the barycenter of G to a point inside a
+      cone of its star.  The walk enters the support through the relative
+      interior of a facet that -e leaves and no other cone shares, and
+      that facet holds every ray of G because the entry point is close to
+      the barycenter of G.
+
+    This is the two-sided facet structure of Morelli (J. Algebraic Geom. 5,
+    1996) and Abramovich-Karu-Matsuki-Wlodarczyk (JAMS 15, 2002, section 2).
+    Facets are counted once per fan, and the faces come out in canonical
+    order, as in boundary.
+    """
+    facets: Counter[tuple[Vec, ...]] = Counter()
+    lower, upper = [], []
+    for cone in fan.max_cones:
+        solver = fanmod._cone_solver(cone)
+        if solver is None:
+            if not project(cone)[1]:
+                return None
+            lower.append(cone.rays)
+            upper.append(cone.rays)
+            continue
+        inv, d = solver
+        for i, row in enumerate(inv):
+            facet = cone.rays[:i] + cone.rays[i + 1:]
+            facets[facet] += 1
+            up = row[-1] * d  # the sign of the coefficient of +e at ray i
+            if up > 0:
+                lower.append(facet)
+            elif up < 0:
+                upper.append(facet)
+
+    def faces(found):
+        return tuple(SimplicialCone(f) for f in sorted(found) if facets[f] <= 1)
+
+    return faces(lower), faces(upper)
+
+
 def _projected_fan(faces, base_dim: int) -> Fan:
     cones = tuple(
         SimplicialCone(tuple(primitive(base_part(r)) for r in f.rays)) for f in faces
@@ -167,7 +234,9 @@ class Cobordism:
     """A lifted fan together with its boundary data.
 
     bottom and top are the projections of the lower and upper boundary faces;
-    they are computed once at construction and cached here.
+    they are computed once at construction and cached here, as is upstairs,
+    the validate_fan report of the lifted fan (None when the cobordism was
+    built without from_fan).
     """
 
     base_dim: int
@@ -176,6 +245,7 @@ class Cobordism:
     upper_faces: tuple[SimplicialCone, ...]
     bottom: Fan
     top: Fan
+    upstairs: ValidationReport | None = field(default=None, compare=False, repr=False)
 
     @classmethod
     def from_fan(cls, fan: Fan, base_dim: int | None = None) -> "Cobordism":
@@ -190,8 +260,11 @@ class Cobordism:
         for r in fan.rays:
             if all(x == 0 for x in base_part(r)):
                 raise InvalidFan(f"vertical ray {r} (zero projection) is not allowed")
-        lower = boundary(fan, Side.LOWER)
-        upper = boundary(fan, Side.UPPER)
+        upstairs = fanmod.validate_fan(fan)
+        sides = _facet_boundary(fan) if upstairs.ok else None
+        if sides is None:
+            sides = boundary(fan, Side.LOWER), boundary(fan, Side.UPPER)
+        lower, upper = sides
         return cls(
             base_dim=base_dim,
             fan=fan,
@@ -199,19 +272,14 @@ class Cobordism:
             upper_faces=upper,
             bottom=_projected_fan(lower, base_dim),
             top=_projected_fan(upper, base_dim),
+            upstairs=upstairs,
         )
 
 
-def validate_cobordism(
-    cob: Cobordism,
-    expected_bottom: Fan | None = None,
-    expected_top: Fan | None = None,
-) -> ValidationReport:
-    """Full validity check: fan axioms upstairs, boundary fans downstairs,
-    equal supports, optional expected boundaries, no degenerate circuits."""
+def _cone_problems(cob: Cobordism) -> list[str]:
+    """The checks read off single cones: degenerate circuits, and boundary
+    faces whose projection collapses rays or repeats another face's."""
     problems = []
-    up = fanmod.validate_fan(cob.fan)
-    problems += [f"upstairs: {p}" for p in up.problems]
     for cone in cob.fan.max_cones:
         if classify(cone) is ConeClass.DEGENERATE:
             problems.append(f"degenerate circuit in maximal cone {cone}")
@@ -226,6 +294,22 @@ def validate_cobordism(
                     f"{side} faces {seen[proj]} and {f} project to the same cone"
                 )
             seen[proj] = f
+    return problems
+
+
+def validate_cobordism(
+    cob: Cobordism,
+    expected_bottom: Fan | None = None,
+    expected_top: Fan | None = None,
+) -> ValidationReport:
+    """Full validity check: fan axioms upstairs, boundary fans downstairs,
+    equal supports, optional expected boundaries, no degenerate circuits.
+
+    The upstairs report is the one from_fan stored, when there is one.
+    """
+    up = cob.upstairs if cob.upstairs is not None else fanmod.validate_fan(cob.fan)
+    problems = [f"upstairs: {p}" for p in up.problems]
+    problems += _cone_problems(cob)
     for name, bfan in (("bottom", cob.bottom), ("top", cob.top)):
         rep = fanmod.validate_fan(bfan)
         problems += [f"{name}: {p}" for p in rep.problems]
@@ -252,6 +336,14 @@ def build_cobordism(delta: Fan, centers, heights=None) -> Cobordism:
     be subdivided, joining it to the lifted center; cones never touched by
     any step enter at height 0 so that the bottom always projects back to
     the input fan.
+
+    The result is proved valid without the full validate_cobordism when the
+    stored upstairs report is ok, no single cone fails (_cone_problems), the
+    bottom equals the input fan, the top equals the subdivided fan and the
+    input fan passes validate_fan: a star subdivision of a valid simplicial
+    fan is a valid fan with the same support (Ewald 1996, III.2; Fulton
+    1993, 2.4), so the top's fan axioms and both covering passes hold.  Any
+    other outcome runs validate_cobordism, so its report is the one raised.
     """
     centers = [primitive(tuple(int(x) for x in c)) for c in centers]
     for c in centers:
@@ -304,9 +396,17 @@ def build_cobordism(delta: Fan, centers, heights=None) -> Cobordism:
         lifted.append(SimplicialCone(tuple(r + (0,) for r in sigma.rays)))
 
     cob = Cobordism.from_fan(Fan(delta.ambient_dim + 1, tuple(lifted)), delta.ambient_dim)
-    report = validate_cobordism(cob, expected_bottom=delta, expected_top=current)
-    if not report.ok:
-        raise InvalidFan(f"constructed cobordism failed validation:\n{report}")
+    proved = (
+        cob.upstairs.ok
+        and fanmod.fans_equal(cob.bottom, delta)
+        and fanmod.fans_equal(cob.top, current)
+        and not _cone_problems(cob)
+        and fanmod.validate_fan(delta).ok
+    )
+    if not proved:
+        report = validate_cobordism(cob, expected_bottom=delta, expected_top=current)
+        if not report.ok:
+            raise InvalidFan(f"constructed cobordism failed validation:\n{report}")
     return cob
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 from .errors import AssertionFailed, BrokenFan, FrontMismatch, InvalidFan, NotCollapsible
@@ -24,7 +25,6 @@ from .cobordism import (
     base_part,
     circuit_class,
     circuit_of,
-    independent_faces,
 )
 from .fan import Fan, SimplicialCone, ValidationReport
 
@@ -170,16 +170,35 @@ def _collapse_order(graph: CollapseGraph) -> tuple[bool, tuple[CircuitKey, ...]]
     return False, _find_cycle(graph, remaining)
 
 
+def _smooth_projection(face: tuple[Vec, ...]) -> bool:
+    return maximal_minor_gcd([primitive(base_part(r)) for r in face]) == 1
+
+
 def is_pi_nonsingular(cob: Cobordism) -> tuple[bool, SimplicialCone | None]:
     """Every projection-independent face must project to a smooth cone.
 
-    Exhaustive over all ray subsets of every maximal cone; the witness is the
-    first failing face in canonical order.
+    Faces of a smooth cone are smooth, so only the maximal independent
+    faces are tested: each maximal cone itself when it is
+    projection-independent, else the cone minus one circuit ray (every
+    independent face misses a circuit ray).  The witness is the first
+    failing face in canonical order over all independent faces.  Failing
+    faces are closed upward, so it lies in a failing maximal face, and the
+    least failing subset of a face is its shortest failing prefix: a subset
+    leaving the prefix sorts after the prefix ray it skips.
     """
-    for face in independent_faces(cob.fan):
-        if maximal_minor_gcd([primitive(base_part(r)) for r in face]) != 1:
-            return False, SimplicialCone(face)
-    return True, None
+    witness = None
+    for cone in cob.fan.max_cones:
+        circ = circuit_of(cone)
+        for v in circ.rays if circ else (None,):
+            face = tuple(r for r in cone.rays if r != v)
+            if _smooth_projection(face):
+                continue
+            k = next(k for k in range(1, len(face) + 1) if not _smooth_projection(face[:k]))
+            if witness is None or face[:k] < witness:
+                witness = face[:k]
+    if witness is None:
+        return True, None
+    return False, SimplicialCone(witness)
 
 
 def _projected_face(cone: SimplicialCone, dropped: Vec) -> SimplicialCone:
@@ -203,12 +222,13 @@ def extract_factorization(cob: Cobordism, elide_identity: bool = False) -> list[
     star's lower faces (one positive ray dropped) for the upper faces (one
     negative ray dropped).  The final front must equal the top fan.
 
-    Each new front is validated incrementally: its cone pairs go through
-    fan._pair_problem in validate_fan's order, except pairs of two cones of
-    the last front that passed.  Every pair of that front was checked (the
-    first crossing checks all pairs, bottom cones included) and passed, so
-    the skipped pairs add no problem and a BrokenFan report is exactly the
-    one validate_fan gives for the new front.
+    Each new front is validated incrementally: only its cone pairs holding
+    a fresh cone, one outside the last front that passed, are enumerated,
+    and they go through fan._pair_problem in validate_fan's order.  Every
+    pair of that front was checked (the first crossing checks all pairs,
+    bottom cones included) and passed, so the skipped pairs add no problem
+    and a BrokenFan report is exactly the one validate_fan gives for the
+    new front.
     """
     graph = circuit_graph(cob)
     ok, witness = _collapse_order(graph)
@@ -233,13 +253,15 @@ def extract_factorization(cob: Cobordism, elide_identity: bool = False) -> list[
             tuple((set(front.max_cones) - lower) | upper),
         )
         problems = []
-        fresh = [(c, c not in trusted) for c in new_front.max_cones]
-        for (a, fresh_a), (b, fresh_b) in itertools.combinations(fresh, 2):
-            if not (fresh_a or fresh_b):
-                continue  # the pair passed in the last front
-            problem = fanmod._pair_problem(a, b)
-            if problem is not None:
-                problems.append(problem)
+        cones = new_front.max_cones
+        fresh = [i for i, c in enumerate(cones) if c not in trusted]
+        for i, a in enumerate(cones):
+            # the pairs (i, j), j > i, holding a fresh cone, in combinations order
+            later = range(i + 1, len(cones)) if a not in trusted else fresh[bisect_right(fresh, i):]
+            for j in later:
+                problem = fanmod._pair_problem(a, cones[j])
+                if problem is not None:
+                    problems.append(problem)
         if problems:
             report = ValidationReport(tuple(problems))
             raise BrokenFan(f"front after crossing {list(key)} is invalid:\n{report}")

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import itertools
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import mul
 
@@ -52,13 +52,19 @@ class RayNormalized(UserWarning):
 
 @dataclass(frozen=True)
 class SimplicialCone:
-    """A strongly convex simplicial cone, given by primitive ray generators."""
+    """A strongly convex simplicial cone, given by primitive ray generators.
+
+    The hash is computed once here (the value the dataclass hash gives),
+    because cones key every geometry cache and front set.
+    """
 
     rays: tuple[Vec, ...]
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         rays = tuple(sorted(tuple(int(x) for x in r) for r in self.rays))
         object.__setattr__(self, "rays", rays)
+        object.__setattr__(self, "_hash", hash((rays,)))
         if not rays:
             raise ValueError("a cone needs at least one ray")
         dims = {len(r) for r in rays}
@@ -82,6 +88,9 @@ class SimplicialCone:
 
     def has_face(self, other: "SimplicialCone") -> bool:
         return set(other.rays) <= set(self.rays)
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __repr__(self) -> str:
         return "cone" + str(list(self.rays))

@@ -10,7 +10,7 @@ import pytest
 
 from fancob.cobordism import Cobordism, build_cobordism
 from fancob.demos import noncollapsible_example, projective_plane_fan
-from fancob.exact import det
+from fancob.exact import det, primitive
 from fancob.fan import Fan, SimplicialCone, star_subdivide
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -79,9 +79,11 @@ def sample_points(cone: SimplicialCone, rng: random.Random, count: int):
 def random_center_sequence(rng: random.Random, fan: Fan, max_steps: int = 4):
     """Barycentric centers that lift validly at sequential heights.
 
-    Picks whose lifted center would not clear the running graph sheet
-    (sum of the face's recorded heights >= the next height) are skipped.
-    Returns the centers and the directly subdivided final fan.
+    A center is the primitive generator of the sum of a face's rays (the
+    sum itself on smooth fans).  Picks whose lifted center would not clear
+    the running graph sheet (sum of the face's recorded heights >= the next
+    height) are skipped.  Returns the centers and the directly subdivided
+    final fan.
     """
     current = fan
     heights = {r: 0 for r in fan.rays}
@@ -92,7 +94,7 @@ def random_center_sequence(rng: random.Random, fan: Fan, max_steps: int = 4):
         tries += 1
         cone = rng.choice(current.max_cones)
         face = rng.sample(cone.rays, rng.randint(2, len(cone.rays)))
-        center = tuple(sum(c) for c in zip(*face))
+        center = primitive(tuple(sum(c) for c in zip(*face)))
         if center in current.rays:
             continue
         if sum(heights[r] for r in face) >= len(centers) + 1:

@@ -3,11 +3,16 @@
 from __future__ import annotations
 
 import json
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import fancob
 from fancob.cli import main, parse_centers
 from fancob.errors import ParseError
 from conftest import FIXTURES
@@ -258,6 +263,24 @@ class TestDeterminism:
         assert a.fan == b.fan
 
 
+class TestBrokenPipe:
+    def test_closed_stdout_ends_quietly(self):
+        # the read end is closed before the child starts, so its first flush
+        # meets EPIPE (Python ignores SIGPIPE and raises BrokenPipeError)
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "fancob", "factorize", str(FIXTURES / "karu.cob")],
+                stdout=write_end, stderr=subprocess.PIPE, timeout=60,
+                env={**os.environ, "PYTHONPATH": str(Path(fancob.__file__).parents[1])},
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 1
+        assert proc.stderr == b""
+
+
 class TestParseCenters:
     def test_basic(self):
         assert parse_centers("(1,1,0);(0,1,1)", 3) == [(1, 1, 0), (0, 1, 1)]
@@ -366,9 +389,10 @@ def _centers(rng: random.Random, dim: int) -> str:
 
 class TestFuzz:
     """Every document ends in exit code 0, 1 or 2 from cli.main, with no
-    exception escaping and in bounded time.  Base dimensions stay small:
-    cobordism.independent_faces enumerates every subset of each lifted
-    cone's rays, so wide cones are deliberately out of scope here."""
+    exception escaping and in bounded time.  The random documents stay in
+    base dims up to 5 (an invalid lifted fan still has its boundary
+    enumerated over every ray subset of each cone); valid one-cone documents
+    reach base dim 12, where the boundary is read off the facets."""
 
     @pytest.mark.filterwarnings("ignore::fancob.fan.RayNormalized")
     def test_malformed_documents(self, capsys, tmp_path):
@@ -401,6 +425,18 @@ class TestFuzz:
                 slowest = max(slowest, time.perf_counter() - start)
                 err = capsys.readouterr().err
                 assert code in codes and "Traceback" not in err, (argv, fan_doc, cob_doc, err)
+                codes[code] += 1
+        for b in range(1, 13):
+            # one wide cone: e_1 ... e_b at height 0 and (1, ..., 1, 1)
+            rays = [[int(i == j) for j in range(b)] + [0] for i in range(b)] + [[1] * (b + 1)]
+            path = tmp_path / f"wide{b}.cob"
+            path.write_text(json.dumps({"base_dim": b, "rays": rays, "max_cones": [list(range(b + 1))]}))
+            for command in ("validate", "circuits", "collapse", "factorize"):
+                start = time.perf_counter()
+                code = main([command, str(path)])
+                slowest = max(slowest, time.perf_counter() - start)
+                err = capsys.readouterr().err
+                assert code == 0 and not err, (command, b, err)
                 codes[code] += 1
         assert slowest < 10, slowest
         assert min(codes.values()) >= 50, codes

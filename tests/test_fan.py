@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -60,6 +61,15 @@ class TestSimplicialCone:
     def test_imprimitive_rejected(self):
         with pytest.raises(ValueError):
             SimplicialCone(((2, 0),))
+
+    def test_stored_hash_and_repr(self):
+        # the hash is stored at construction; it is the structural one
+        a = SimplicialCone(((0, 1, 0), (1, 0, 0)))
+        b = SimplicialCone(((1, 0, 0), (0, 1, 0)))
+        assert a == b and hash(a) == hash(b) == hash((a.rays,))
+        assert len({a, b, SimplicialCone(((1, 0, 0),))}) == 2
+        assert repr(a) == "cone[(0, 1, 0), (1, 0, 0)]"
+        assert dataclasses.replace(a, rays=((0, 0, 1),)) == SimplicialCone(((0, 0, 1),))
 
 
 class TestIsSmooth:
