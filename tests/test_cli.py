@@ -437,6 +437,5 @@ class TestFuzz:
                 slowest = max(slowest, time.perf_counter() - start)
                 err = capsys.readouterr().err
                 assert code == 0 and not err, (command, b, err)
-                codes[code] += 1
         assert slowest < 10, slowest
         assert min(codes.values()) >= 50, codes
