@@ -11,8 +11,7 @@ collapsibility, factorization).
 from __future__ import annotations
 
 import enum
-import itertools
-from collections import Counter
+import operator
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -126,100 +125,79 @@ def classify(cone: SimplicialCone) -> ConeClass:
     return circuit_class(circuit_of(cone))
 
 
-def independent_faces(fan: Fan) -> list[tuple[Vec, ...]]:
-    """Every ray subset of a maximal cone whose projection is linearly
-    independent, in canonical order.  Exponential in the cone width: only
-    the enumeration in boundary uses it."""
-    faces = set()
-    for cone in fan.max_cones:
-        for k in range(1, len(cone.rays) + 1):
-            faces.update(itertools.combinations(cone.rays, k))
-    return [f for f in sorted(faces) if rank([base_part(r) for r in f]) == len(f)]
-
-
 def boundary(fan: Fan, side: Side) -> tuple[SimplicialCone, ...]:
-    """The maximal projection-independent faces leaving the support down/up.
+    """The lower (upper) boundary faces of a lifted fan without vertical rays,
+    in canonical order.
 
-    A face qualifies when its barycenter, nudged by -e_{d+1} (lower) or
-    +e_{d+1} (upper), leaves the support for every sufficiently small nudge;
-    the test runs exactly, cone by cone, with symbolic first-order epsilon.
-    This enumeration holds for any cone collection, fan or not, and takes
-    time exponential in the cone width; Cobordism.from_fan runs it only
-    where _facet_boundary does not apply.
+    With e = e_{d+1} the height direction and, for a maximal cone tau with e
+    in its span, pos(tau) the rays where e has a positive coefficient in the
+    rays of tau (the positive circuit rays):
+
+    - a maximal cone whose span misses e (a row of _span_equalities has a
+      nonzero last entry) is a face on both sides;
+    - for any other maximal cone sigma and ray v, the face sigma minus v is
+      a lower (upper) face when the last entry of the facet normal of v in
+      _facet_normals(sigma), which has the sign of the coefficient of e at
+      v, is > 0 (< 0), and no other maximal cone holds every ray of the
+      face.
+
+    The boundary is the set of maximal projection-independent faces G whose
+    barycenter x, nudged by -e (+e), leaves the support for every small
+    enough nudge: the two-sided facet structure of Morelli (J. Algebraic
+    Geom. 5, 1996) and Abramovich-Karu-Matsuki-Wlodarczyk (JAMS 15, 2002,
+    section 2).  On a fan that passes validate_fan the rule gives exactly
+    these faces (the lower side; the upper one is the same with +e):
+
+    1. Near x the support is the union of the maximal cones tau holding G:
+       a cone holding x meets such a tau in a face of both that holds x,
+       hence G, and a cone missing x misses a neighbourhood of x.  Near x,
+       tau is x + (tau + span G), so G qualifies iff -e lies in no
+       tau + span G, and -e lies in tau + span G iff e is in span tau and
+       pos(tau) is inside G.  A qualifying G is projection-independent, as
+       e in span G would put -e in every tau + span G.  A face of the first
+       kind qualifies (e misses its span, and a second cone holding it
+       would be nested) and is a maximal cone.  A face sigma minus v of the
+       second kind qualifies (v is in pos(sigma), and sigma alone holds
+       it), and the only larger face, sigma, has e in its span.
+    2. Let G qualify and be of neither kind.  In the quotient by span G,
+       with bars for images, -ebar lies in no cone taubar of the star of G.
+       Some tau in the star has taubar off the ray through ebar: G itself
+       is no maximal cone (it would be of the first kind), a single
+       tau = G + u with ubar on that ray has u in pos(tau) (G would be of
+       the second kind), and two such cones would overlap.  Take pbar
+       generic in the relative interior of taubar, off the line of ebar,
+       and walk qbar = pbar - t ebar from t = 0 up.  For large t, qbar
+       points nearly along -ebar and lies outside the star; at the last t
+       where it lies inside, qbar is nonzero, so the face F of a star cone
+       holding qbar in its relative interior strictly holds G.  With q
+       the lift of qbar with positive coefficients on the rays of F outside
+       G, the points x + s q lie in the relative interior of F for s > 0,
+       and step 1 at those points shows that F qualifies, since
+       qbar - t ebar leaves the star for slightly larger t.
+    3. So every maximal qualifying face is of one of the two kinds, and by
+       step 1 each face of those kinds is qualifying and maximal.
+
+    On a fan that fails validate_fan the same rule runs; its faces are then
+    the rule's and carry no such guarantee.
     """
-    d1 = fan.ambient_dim
-    step = -1 if side is Side.LOWER else 1
-    direction = (0,) * (d1 - 1) + (step,)
-    out = []
-    for face in independent_faces(fan):
-        b = tuple(sum(col) for col in zip(*face))
-        if any(fanmod._stays_inside(c, b, direction) for c in fan.max_cones):
+    sign = 1 if side is Side.LOWER else -1
+    holders: dict[Vec, set[int]] = {}
+    for i, cone in enumerate(fan.max_cones):
+        for r in cone.rays:
+            holders.setdefault(r, set()).add(i)
+    faces = []
+    for i, cone in enumerate(fan.max_cones):
+        # a full-dimensional span holds e; skip its (empty) equalities
+        if cone.dim < fan.ambient_dim and any(y[-1] for y in fanmod._span_equalities(cone)):
+            faces.append(cone.rays)
             continue
-        out.append(face)
-    maximal = [f for f in out if not any(set(f) < set(g) for g in out)]
-    return tuple(SimplicialCone(f) for f in maximal)
-
-
-def _facet_boundary(fan: Fan):
-    """(lower faces, upper faces) of a valid lifted fan, read off its facets,
-    exactly as boundary gives them; None when the fan has a
-    lower-dimensional maximal cone whose projection is dependent.
-
-    Precondition: the fan passes validate_fan.  With e the height direction:
-
-    - A full-dimensional cone sigma writes -e (+e) in its generators
-      through the cached _cone_solver; the coefficient at ray v has the
-      sign of -row_v[-1] * D (row_v[-1] * D).  The facet F = sigma minus v
-      is a lower (upper) face iff that coefficient is negative and F is a
-      facet of no other maximal cone.  The nudge from the barycenter of F
-      leaves sigma exactly when the coefficient is negative.  Any other
-      cone the nudge enters holds the barycenter, so in a valid fan it has
-      F as a face, hence as a facet (F itself is no maximal cone: two
-      maximal cones would be nested), and it lies on the far side of F, so
-      a shared facet is always entered.  A nonzero coefficient puts v in
-      the circuit (the coefficients are a relation of the projections), so
-      F is projection-independent, and no independent face is larger.
-    - A lower-dimensional maximal cone that is projection-independent is a
-      face on both sides: -e and +e lie outside its span, and a cone that
-      the nudge from its relative interior enters would have it as a face,
-      so two maximal cones would be nested.
-    - No other face is maximal.  A qualifying face G in no lower-dimensional
-      maximal cone lies in a facet of the first kind: walk up from a
-      generic point just below the barycenter of G to a point inside a
-      cone of its star.  The walk enters the support through the relative
-      interior of a facet that -e leaves and no other cone shares, and
-      that facet holds every ray of G because the entry point is close to
-      the barycenter of G.
-
-    This is the two-sided facet structure of Morelli (J. Algebraic Geom. 5,
-    1996) and Abramovich-Karu-Matsuki-Wlodarczyk (JAMS 15, 2002, section 2).
-    Facets are counted once per fan, and the faces come out in canonical
-    order, as in boundary.
-    """
-    facets: Counter[tuple[Vec, ...]] = Counter()
-    lower, upper = [], []
-    for cone in fan.max_cones:
-        solver = fanmod._cone_solver(cone)
-        if solver is None:
-            if not project(cone)[1]:
-                return None
-            lower.append(cone.rays)
-            upper.append(cone.rays)
-            continue
-        inv, d = solver
-        for i, row in enumerate(inv):
-            facet = cone.rays[:i] + cone.rays[i + 1:]
-            facets[facet] += 1
-            up = row[-1] * d  # the sign of the coefficient of +e at ray i
-            if up > 0:
-                lower.append(facet)
-            elif up < 0:
-                upper.append(facet)
-
-    def faces(found):
-        return tuple(SimplicialCone(f) for f in sorted(found) if facets[f] <= 1)
-
-    return faces(lower), faces(upper)
+        for v, w in zip(cone.rays, fanmod._facet_normals(cone)):
+            if w[-1] * sign <= 0:
+                continue
+            face = tuple(r for r in cone.rays if r != v)
+            if set.intersection(*(holders[r] for r in face)) == {i}:
+                faces.append(face)
+    return tuple(SimplicialCone(f) for f in sorted(faces))
 
 
 def _projected_fan(faces, base_dim: int) -> Fan:
@@ -249,6 +227,14 @@ class Cobordism:
 
     @classmethod
     def from_fan(cls, fan: Fan, base_dim: int | None = None) -> "Cobordism":
+        """The cobordism of a lifted fan; a vertical ray raises InvalidFan.
+
+        The fan's validate_fan report is stored as upstairs, and boundary
+        gives both sides on every fan, valid or not, in time polynomial in
+        the number and width of its cones.  Only on a valid fan are they
+        the boundary proved in its docstring; validate_cobordism reports an
+        invalid one through the upstairs problems.
+        """
         if base_dim is None:
             base_dim = fan.ambient_dim - 1
         if fan.ambient_dim != base_dim + 1:
@@ -261,10 +247,7 @@ class Cobordism:
             if all(x == 0 for x in base_part(r)):
                 raise InvalidFan(f"vertical ray {r} (zero projection) is not allowed")
         upstairs = fanmod.validate_fan(fan)
-        sides = _facet_boundary(fan) if upstairs.ok else None
-        if sides is None:
-            sides = boundary(fan, Side.LOWER), boundary(fan, Side.UPPER)
-        lower, upper = sides
+        lower, upper = boundary(fan, Side.LOWER), boundary(fan, Side.UPPER)
         return cls(
             base_dim=base_dim,
             fan=fan,
@@ -345,7 +328,7 @@ def build_cobordism(delta: Fan, centers, heights=None) -> Cobordism:
     1993, 2.4), so the top's fan axioms and both covering passes hold.  Any
     other outcome runs validate_cobordism, so its report is the one raised.
     """
-    centers = [primitive(tuple(int(x) for x in c)) for c in centers]
+    centers = [primitive(tuple(operator.index(x) for x in c)) for c in centers]
     for c in centers:
         if len(c) != delta.ambient_dim:
             raise DimensionMismatch(
@@ -353,7 +336,7 @@ def build_cobordism(delta: Fan, centers, heights=None) -> Cobordism:
             )
     if heights is None:
         heights = list(range(1, len(centers) + 1))
-    heights = [int(h) for h in heights]
+    heights = [operator.index(h) for h in heights]
     if len(heights) != len(centers):
         raise ValueError("one height per center required")
     if any(h <= 0 for h in heights) or any(

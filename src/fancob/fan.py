@@ -25,6 +25,7 @@ All values are immutable; every operation returns new values.
 from __future__ import annotations
 
 import itertools
+import operator
 import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -62,7 +63,7 @@ class SimplicialCone:
     _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        rays = tuple(sorted(tuple(int(x) for x in r) for r in self.rays))
+        rays = tuple(sorted(tuple(operator.index(x) for x in r) for r in self.rays))
         object.__setattr__(self, "rays", rays)
         object.__setattr__(self, "_hash", hash((rays,)))
         if not rays:
@@ -342,7 +343,7 @@ def star_subdivide(fan: Fan, center) -> Fan:
     the joins of the center with the facets avoiding one minimal-face ray;
     other cones are kept.  Subdividing at an existing ray is the identity.
     """
-    center = tuple(int(x) for x in center)
+    center = tuple(operator.index(x) for x in center)
     if not is_primitive(center):
         raise ValueError(f"subdivision center {center} must be primitive")
     if center in fan.rays:

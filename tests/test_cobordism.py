@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
@@ -240,6 +241,15 @@ class TestBuildCobordism:
         assert fans_equal(cob.bottom, p2)
         heights = {r[-1] for c in cob.fan.max_cones for r in c.rays if len(c.rays) == 2}
         assert heights == {0}
+
+    def test_non_integer_centers_and_heights_rejected(self):
+        # floats and Fractions are refused, not truncated to center (1, 1)
+        # and height 2
+        quadrant = Fan(2, (SimplicialCone(((1, 0), (0, 1))),))
+        for centers, heights in (([(1.9, 1.2)], [2.5]), ([(1, 1)], [2.5]),
+                                 ([(1.0, 1)], None), ([(Fraction(1), 1)], [2])):
+            with pytest.raises(TypeError):
+                build_cobordism(quadrant, centers, heights)
 
     def test_center_not_in_support(self):
         with pytest.raises(CenterNotInSupport):

@@ -1,6 +1,6 @@
-"""Facet-local boundary extraction, the proved build_cobordism and the
-maximal-face smoothness test: differential tests against the all-faces
-enumerations they replace, kept here as oracles."""
+"""The boundary rule, the proved build_cobordism and the maximal-face
+smoothness test: differential tests against the all-faces enumerations
+they replace, kept here as oracles."""
 
 from __future__ import annotations
 
@@ -11,7 +11,6 @@ import random
 
 import pytest
 
-from fancob import cobordism as cobmod
 from fancob import fan as fanmod
 from fancob.cli import main
 from fancob.cobordism import (
@@ -19,6 +18,7 @@ from fancob.cobordism import (
     Side,
     boundary,
     build_cobordism,
+    circuit_of,
     cobordism_from_doc,
     cobordism_to_doc,
     validate_cobordism,
@@ -125,7 +125,7 @@ class TestFacetBoundary:
         ]
         assert len(corpus) == 9
         for cob in corpus:
-            assert cob.upstairs.ok and cobmod._facet_boundary(cob.fan) is not None
+            assert cob.upstairs.ok
             assert_matches_oracles(cob)
 
     @pytest.mark.parametrize("d", [2, 3, 4])
@@ -135,7 +135,6 @@ class TestFacetBoundary:
         for _ in range(40 if d < 4 else 25):
             fan, centers = random_build(rng, d)
             cob = build_cobordism(fan, centers)
-            assert cobmod._facet_boundary(cob.fan) is not None
             assert_matches_oracles(cob)
             impure += len({c.dim for c in cob.fan.max_cones}) > 1
             full = [c for c in cob.fan.max_cones if c.dim == d + 1]
@@ -144,9 +143,9 @@ class TestFacetBoundary:
 
     def test_lifted_single_cones_and_pairs(self):
         # cones not built by subdivision: any heights, Down, Mixed and
-        # projection-dependent lower-dimensional cones (the enumeration path)
+        # projection-dependent lower-dimensional cones
         rng = random.Random(611)
-        local = 0
+        checked = 0
         for _ in range(150):
             d = rng.randint(2, 3)
             cones = []
@@ -164,16 +163,48 @@ class TestFacetBoundary:
             if not validate_fan(fan).ok:
                 continue
             cob = Cobordism.from_fan(fan, d)
-            local += cobmod._facet_boundary(fan) is not None
             assert_matches_oracles(cob)
-        assert local >= 50, local
+            checked += 1
+        assert checked >= 50, checked
 
-    def test_invalid_upstairs_documents_take_the_enumeration(self, capsys, tmp_path):
-        # the facet rule differs from the enumeration on overlapping cones,
-        # so from_fan must not use it there: validate prints what the
-        # enumeration gives
+    def test_lower_dimensional_cones_holding_a_circuit(self):
+        # builds with some maximal cones replaced by a face holding their
+        # circuit and some link rays, and the cones holding such a face
+        # dropped: lower-dimensional, projection-dependent cones next to
+        # higher-dimensional ones, where a face can lie in a larger cone
+        # without being one of its facets (plane builds have empty links,
+        # so they stay as built)
+        checked = mixed = 0
+        for d, builds in ((2, 30), (3, 150), (4, 120)):
+            rng = random.Random(650 + d)
+            for _ in range(builds):
+                fan, centers = random_build(rng, d)
+                cones = []
+                for cone in build_cobordism(fan, centers).fan.max_cones:
+                    circ = circuit_of(cone)
+                    if circ is not None and circ.link and rng.random() < 0.6:
+                        link = rng.sample(circ.link, rng.randrange(len(circ.link)))
+                        cone = SimplicialCone(circ.rays + tuple(link))
+                    cones.append(cone)
+                cones = [c for c in cones if not any(o != c and c.has_face(o) for o in cones)]
+                lifted = Fan(d + 1, tuple(cones))
+                if not validate_fan(lifted).ok:
+                    continue
+                assert_matches_oracles(Cobordism.from_fan(lifted, d))
+                checked += 1
+                mixed += any(
+                    circuit_of(a) is not None and b.dim > a.dim and set(a.rays) & set(b.rays)
+                    for a in cones for b in cones
+                )
+        assert checked >= 250 and mixed >= 100, (checked, mixed)
+
+    def test_invalid_upstairs_documents(self, capsys, tmp_path, monkeypatch):
+        # the boundary rule runs on overlapping cones too: validate exits 1
+        # with the upstairs problems of validate_fan, and no face is ever
+        # tested with a first-order nudge
+        monkeypatch.setattr(fanmod, "_stays_inside", lambda *a: pytest.fail("nudge test"))
         rng = random.Random(612)
-        differs = 0
+        invalid = 0
         for i in range(60):
             cones = []
             while len(cones) < 2:
@@ -182,26 +213,22 @@ class TestFacetBoundary:
                 if len(rays) == 3 and rank(rays) == 3:
                     cones.append(SimplicialCone(rays))
             fan = Fan(3, tuple(cones))
-            if validate_fan(fan).ok:
+            report = validate_fan(fan)
+            if report.ok:
                 continue
-            cob = Cobordism.from_fan(fan, 2)
-            assert cob.lower_faces == oracle_boundary(fan, Side.LOWER)
-            assert cob.upper_faces == oracle_boundary(fan, Side.UPPER)
-            local = cobmod._facet_boundary(fan)
-            differs += local != (cob.lower_faces, cob.upper_faces)
-            doc = cobordism_to_doc(cob)
+            invalid += 1
+            doc = cobordism_to_doc(Cobordism.from_fan(fan, 2))
             del doc["bottom"], doc["top"]
             path = tmp_path / f"{i}.cob"
             path.write_text(json.dumps(doc))
-            outputs = []
-            for argv in (["validate", str(path)], ["--json", "validate", str(path)]):
-                outputs.append((main(argv), capsys.readouterr()))
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(cobmod, "boundary", oracle_boundary)
-                mp.setattr(cobmod, "_facet_boundary", lambda f: pytest.fail("facet rule used"))
-                for k, argv in enumerate((["validate", str(path)], ["--json", "validate", str(path)])):
-                    assert (main(argv), capsys.readouterr()) == outputs[k]
-        assert differs >= 5, differs
+            upstairs = [f"upstairs: {p}" for p in report.problems]
+            assert main(["validate", str(path)]) == 1
+            lines = capsys.readouterr().out.splitlines()
+            assert [x[len("problem: "):] for x in lines if x.startswith("problem: upstairs: ")] == upstairs
+            assert main(["--json", "validate", str(path)]) == 1
+            problems = json.loads(capsys.readouterr().out)["problems"]
+            assert [p for p in problems if p.startswith("upstairs: ")] == upstairs
+        assert invalid >= 20, invalid
 
 
 class TestStoredUpstairsReport:

@@ -62,6 +62,12 @@ class TestSimplicialCone:
         with pytest.raises(ValueError):
             SimplicialCone(((2, 0),))
 
+    def test_non_integer_entries_rejected(self):
+        # floats and Fractions are refused, not truncated
+        for rays in (((1.5, 0), (0, 1.9)), ((1.0, 0), (0, 1)), ((Fraction(1), 0), (0, 1))):
+            with pytest.raises(TypeError):
+                SimplicialCone(rays)
+
     def test_stored_hash_and_repr(self):
         # the hash is stored at construction; it is the structural one
         a = SimplicialCone(((0, 1, 0), (1, 0, 0)))
@@ -211,6 +217,11 @@ class TestStarSubdivide:
     def test_not_in_support(self):
         with pytest.raises(NotInSupport):
             star_subdivide(orthant_fan(), (-1, 1, 1))
+
+    def test_non_integer_center_rejected(self):
+        for center in ((1.0, 1, 0), (1.5, 1, 0), (Fraction(1), 1, 0)):
+            with pytest.raises(TypeError):
+                star_subdivide(orthant_fan(), center)
 
     def test_support_preserved_on_sampled_points(self):
         # membership of random rational interior points survives subdivision
