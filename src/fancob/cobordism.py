@@ -197,7 +197,7 @@ def boundary(fan: Fan, side: Side) -> tuple[SimplicialCone, ...]:
             face = tuple(r for r in cone.rays if r != v)
             if set.intersection(*(holders[r] for r in face)) == {i}:
                 faces.append(face)
-    return tuple(SimplicialCone(f) for f in sorted(faces))
+    return tuple(SimplicialCone._face(f) for f in sorted(faces))
 
 
 def _projected_fan(faces, base_dim: int) -> Fan:
@@ -233,7 +233,7 @@ class Cobordism:
         gives both sides on every fan, valid or not, in time polynomial in
         the number and width of its cones.  Only on a valid fan are they
         the boundary proved in its docstring; validate_cobordism reports an
-        invalid one through the upstairs problems.
+        invalid one by its upstairs problems alone.
         """
         if base_dim is None:
             base_dim = fan.ambient_dim - 1
@@ -288,10 +288,14 @@ def validate_cobordism(
     """Full validity check: fan axioms upstairs, boundary fans downstairs,
     equal supports, optional expected boundaries, no degenerate circuits.
 
-    The upstairs report is the one from_fan stored, when there is one.
+    The upstairs report is the one from_fan stored, when there is one.  A
+    lifted fan that fails it gets the upstairs problems alone: its boundary
+    faces carry no guarantee, so nothing downstairs is checked.
     """
     up = cob.upstairs if cob.upstairs is not None else fanmod.validate_fan(cob.fan)
     problems = [f"upstairs: {p}" for p in up.problems]
+    if problems:
+        return ValidationReport(tuple(problems))
     problems += _cone_problems(cob)
     for name, bfan in (("bottom", cob.bottom), ("top", cob.top)):
         rep = fanmod.validate_fan(bfan)
@@ -349,7 +353,8 @@ def build_cobordism(delta: Fan, centers, heights=None) -> Cobordism:
     untouched = set(delta.max_cones)
     lifted: list[SimplicialCone] = []
     for center, h in zip(centers, heights):
-        if center in current.rays:
+        # height_of holds exactly the running fan's rays
+        if center in height_of:
             raise CenterAlreadyRay(f"center {center} is already a ray")
         try:
             tau = fanmod.minimal_containing_cone(current, center)
@@ -374,7 +379,7 @@ def build_cobordism(delta: Fan, centers, heights=None) -> Cobordism:
             lifted.append(SimplicialCone(gens))
             untouched.discard(sigma)
         height_of[center] = h
-        current = fanmod.star_subdivide(current, center)
+        current = fanmod._split_at(current, center, tau)
     for sigma in sorted(untouched, key=lambda c: c.rays):
         lifted.append(SimplicialCone(tuple(r + (0,) for r in sigma.rays)))
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import enum
 import itertools
-from bisect import bisect_right
 from dataclasses import dataclass, field
 
 from .errors import AssertionFailed, BrokenFan, FrontMismatch, InvalidFan, NotCollapsible
@@ -207,6 +206,29 @@ def _projected_face(cone: SimplicialCone, dropped: Vec) -> SimplicialCone:
     )
 
 
+def _star_local_pairs(
+    upper: dict[SimplicialCone, set[Vec]],
+    cones: tuple[SimplicialCone, ...],
+    old: set[SimplicialCone],
+    holders: dict[Vec, set[SimplicialCone]],
+) -> list[tuple[int, int]]:
+    """The index pairs i < j of cones, sorted, that the star-local rule of
+    extract_factorization checks: each fresh cone (an upper cone outside the
+    old front) with every other fresh cone and with every old cone holding
+    a ray of pi(sigma) for a star cone sigma it comes from.  upper maps each
+    upper cone to those rays, holders each ray to the old cones holding it."""
+    index = {c: i for i, c in enumerate(cones)}
+    near = {index[u]: rays for u, rays in upper.items() if u not in old}
+    pairs = set(itertools.combinations(sorted(near), 2))
+    for i, rays in near.items():
+        for r in rays:
+            for c in holders.get(r, ()):
+                j = index.get(c)
+                if j is not None:
+                    pairs.add((min(i, j), max(i, j)))
+    return sorted(pairs)
+
+
 _STEP_KIND = {
     ConeClass.UP: StepKind.BLOWUP,
     ConeClass.DOWN: StepKind.BLOWDOWN,
@@ -222,50 +244,84 @@ def extract_factorization(cob: Cobordism, elide_identity: bool = False) -> list[
     star's lower faces (one positive ray dropped) for the upper faces (one
     negative ray dropped).  The final front must equal the top fan.
 
-    Each new front is validated incrementally: only its cone pairs holding
-    a fresh cone, one outside the last front that passed, are enumerated,
-    and they go through fan._pair_problem in validate_fan's order.  Every
-    pair of that front was checked (the first crossing checks all pairs,
-    bottom cones included) and passed, so the skipped pairs add no problem
-    and a BrokenFan report is exactly the one validate_fan gives for the
-    new front.
+    The first crossing checks every pair of its front, bottom cones
+    included, through fan._pair_problem in validate_fan's order.  Every
+    later front is the last one, which passed, minus lower plus upper; its
+    fresh cones (those outside the last front) are the faces
+    u = pi(sigma - n), sigma in the star and n a negative ray.  When the
+    circuit has a positive ray, u is checked against the other fresh cones
+    and against the old cones sharing a ray with pi(sigma), the primitive
+    projected rays of sigma; no other pair of the new front is checked, as
+    it passes:
+
+    1. Let x be in u, so x is a nonnegative combination of pi(sigma) with
+       coefficient 0 at n.  Subtracting t times the circuit relation
+       (positive on Z+, negative on Z-) lowers the coefficients on Z+ and
+       raises those on Z-; at the least t where one on some p in Z+ reaches
+       0, all are still >= 0, so x lies in pi(sigma - p).  Hence u lies in
+       the union of the lower cones of sigma.
+    2. Those lower cones are cones of the last front (lower <= front is
+       checked above), and every pair of that front passed, so any other
+       cone c of it meets each of them in the cone on their shared rays.
+       An old cone c with no ray in pi(sigma) is no lower cone of sigma and
+       shares no ray with one, so it meets each in {0}.
+    3. So c meets u in {0}, the cone on their (empty) set of shared rays,
+       and neither holds the other: _pair_problem(c, u) is None.  Old
+       pairs passed at an earlier crossing.
+
+    The checked pairs keep combinations order, so a BrokenFan report is
+    exactly the one validate_fan gives for the new front.  A circuit with
+    no positive ray (degenerate, refused below after the check) keeps the
+    full pair check.
     """
     graph = circuit_graph(cob)
     ok, witness = _collapse_order(graph)
     if not ok:
         raise NotCollapsible(f"circuit graph has the cycle {list(witness)}", witness)
     front = cob.bottom
-    trusted: frozenset[SimplicialCone] = frozenset()
+    # ray -> cones of the last front that passed; None before the first crossing
+    holders: dict[Vec, set[SimplicialCone]] | None = None
     steps: list[FactorStep] = []
     for key in witness:
         circ = graph.circuits[key]
         star = graph.cones[key]
         lower = {_projected_face(cone, p) for cone in star for p in circ.pos}
-        upper = {_projected_face(cone, n) for cone in star for n in circ.neg}
-        missing = lower - set(front.max_cones)
+        # each upper cone with the rays pi(sigma) of the star cones it comes from
+        upper: dict[SimplicialCone, set[Vec]] = {}
+        for cone in star:
+            rays = {primitive(base_part(r)) for r in cone.rays}
+            for n in circ.neg:
+                upper.setdefault(_projected_face(cone, n), set()).update(rays)
+        old = set(front.max_cones)
+        missing = lower - old
         if missing:
             raise FrontMismatch(
                 f"circuit {list(key)} expects front cones {sorted(c.rays for c in missing)}; "
                 "the cobordism is not sequential"
             )
-        new_front = Fan(
-            front.ambient_dim,
-            tuple((set(front.max_cones) - lower) | upper),
-        )
-        problems = []
+        new_front = Fan(front.ambient_dim, tuple((old - lower).union(upper)))
         cones = new_front.max_cones
-        fresh = [i for i, c in enumerate(cones) if c not in trusted]
-        for i, a in enumerate(cones):
-            # the pairs (i, j), j > i, holding a fresh cone, in combinations order
-            later = range(i + 1, len(cones)) if a not in trusted else fresh[bisect_right(fresh, i):]
-            for j in later:
-                problem = fanmod._pair_problem(a, cones[j])
-                if problem is not None:
-                    problems.append(problem)
+        if holders is None or not circ.pos:
+            pairs = itertools.combinations(range(len(cones)), 2)
+        else:
+            pairs = _star_local_pairs(upper, cones, old, holders)
+        problems = []
+        for i, j in pairs:
+            problem = fanmod._pair_problem(cones[i], cones[j])
+            if problem is not None:
+                problems.append(problem)
         if problems:
             report = ValidationReport(tuple(problems))
             raise BrokenFan(f"front after crossing {list(key)} is invalid:\n{report}")
-        trusted = frozenset(new_front.max_cones)
+        kept = set(cones)
+        if holders is None:
+            holders, old = {}, set()  # the first front that passed enters whole
+        for c in old - kept:
+            for r in c.rays:
+                holders[r].discard(c)
+        for c in kept - old:
+            for r in c.rays:
+                holders.setdefault(r, set()).add(c)
         kind = _STEP_KIND.get(circuit_class(circ))
         if kind is None:
             raise InvalidFan(f"circuit {list(key)} is degenerate: its relation has one sign")

@@ -79,6 +79,19 @@ class SimplicialCone:
         if rank(rays) != len(rays):
             raise DependentInput(f"cone rays {rays} are linearly dependent")
 
+    @classmethod
+    def _face(cls, rays: tuple[Vec, ...]) -> "SimplicialCone":
+        """The face of a known cone on rays, a subsequence of that cone's
+        (sorted) rays.  Such rays are sorted, primitive, distinct and
+        independent already, so only emptiness is checked; the value, hash
+        and repr are those of SimplicialCone(rays)."""
+        if not rays:
+            raise ValueError("a cone needs at least one ray")
+        cone = object.__new__(cls)
+        object.__setattr__(cone, "rays", rays)
+        object.__setattr__(cone, "_hash", hash((rays,)))
+        return cone
+
     @property
     def dim(self) -> int:
         return len(self.rays)
@@ -332,7 +345,7 @@ def minimal_containing_cone(fan: Fan, point) -> SimplicialCone:
     for cone in fan.max_cones:
         rays = _positive_rays(cone, point)
         if rays is not None:
-            return SimplicialCone(rays)
+            return SimplicialCone._face(rays)
     raise NotInSupport(f"{point} is outside the fan's support")
 
 
@@ -348,7 +361,12 @@ def star_subdivide(fan: Fan, center) -> Fan:
         raise ValueError(f"subdivision center {center} must be primitive")
     if center in fan.rays:
         return fan
-    tau = minimal_containing_cone(fan, center)
+    return _split_at(fan, center, minimal_containing_cone(fan, center))
+
+
+def _split_at(fan: Fan, center: Vec, tau: SimplicialCone) -> Fan:
+    """star_subdivide at a primitive center that is no ray of the fan, with
+    tau = minimal_containing_cone(fan, center) already located."""
     tau_rays = set(tau.rays)
     new_cones: list[SimplicialCone] = []
     for sigma in fan.max_cones:

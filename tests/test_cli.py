@@ -73,6 +73,29 @@ class TestValidate:
         assert code == 0
         assert json.loads(out) == {"kind": "fan", "valid": True, "problems": []}
 
+    def test_invalid_upstairs_reports_upstairs_only(self, capsys, tmp_path):
+        # e1, e2, e3 at height 0 joined with (1,1,1,1) and with (1,1,1,2):
+        # the faces read off overlapping cones carry no guarantee, so no
+        # downstairs problem is reported next to the overlap
+        rays = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [1, 1, 1, 1], [1, 1, 1, 2]]
+        path = tmp_path / "overlap.cob"
+        path.write_text(json.dumps({"base_dim": 3, "rays": rays, "max_cones": [[0, 1, 2, 3], [0, 1, 2, 4]]}))
+        problem = (
+            "upstairs: cones cone[(0, 0, 1, 0), (0, 1, 0, 0), (1, 0, 0, 0), (1, 1, 1, 1)] and "
+            "cone[(0, 0, 1, 0), (0, 1, 0, 0), (1, 0, 0, 0), (1, 1, 1, 2)] overlap beyond "
+            "their common face (witness direction (1, 1, 1, 1))"
+        )
+        code, out, err = run(capsys, "validate", str(path))
+        assert (code, err) == (1, "")
+        assert out.splitlines() == [
+            "cobordism: base dim 3, 2 maximal cones, bottom 0 cones, top 3 cones",
+            f"problem: {problem}",
+            "result: INVALID",
+        ]
+        code, out, _ = run(capsys, "--json", "validate", str(path))
+        assert code == 1
+        assert json.loads(out) == {"kind": "cobordism", "valid": False, "problems": [problem]}
+
 
 class TestCircuits:
     def test_karu_rows(self, capsys):

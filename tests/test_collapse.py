@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import random
 from math import comb
 
@@ -22,8 +23,10 @@ from fancob.collapse import (
     transcript,
 )
 from fancob.errors import BrokenFan, FrontMismatch, InvalidFan, NotCollapsible
+from fancob.exact import primitive
 from fancob.fan import Fan, SimplicialCone, fans_equal, is_smooth, star_subdivide, validate_fan
 from conftest import orthant_fan, random_center_sequence, random_smooth_fan
+from test_facet_boundary import _orthant, random_build
 
 D1 = tuple(sorted([(1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 1)]))
 D2 = tuple(sorted([(0, 1, 0, 0), (0, 0, 1, 0), (0, 1, 1, 2)]))
@@ -230,38 +233,68 @@ def differential_corpus(karu):
     return corpus
 
 
+def star_local_pairs(cob: Cobordism) -> list[list[tuple[SimplicialCone, SimplicialCone]]]:
+    """Per crossing of a cobordism whose fronts are all valid, the cone
+    pairs the star-local rule checks, in combinations order: every pair at
+    the first crossing, then each fresh cone pi(sigma - n) with the other
+    fresh cones and with the old cones holding a ray of pi(sigma)."""
+    graph = circuit_graph(cob)
+    _, order = is_collapsible(cob)
+    front, out = cob.bottom, []
+    for key in order:
+        circ, star = graph.circuits[key], graph.cones[key]
+        lower = {_projected_face(c, p) for c in star for p in circ.pos}
+        near: dict[SimplicialCone, set] = {}
+        for c in star:
+            for n in circ.neg:
+                near.setdefault(_projected_face(c, n), set()).update(primitive(r[:-1]) for r in c.rays)
+        new = Fan(front.ambient_dim, tuple((set(front.max_cones) - lower) | set(near)))
+        cones = new.max_cones
+        if not out:
+            out.append(list(itertools.combinations(cones, 2)))
+        else:
+            fresh = set(near) - set(front.max_cones)
+            index = {c: i for i, c in enumerate(cones)}
+            pairs = {
+                tuple(sorted((index[a], index[b])))
+                for a in fresh for b in cones
+                if b != a and (b in fresh or near[a] & set(b.rays))
+            }
+            out.append([(cones[i], cones[j]) for i, j in sorted(pairs)])
+        front = new
+    return out
+
+
+def seeded_builds() -> list[Cobordism]:
+    """Builds over one to three orthants in base dims 2-4."""
+    out = []
+    for d in (2, 3, 4):
+        rng = random.Random(700 + d)
+        for _ in range(10):
+            out.append(build_cobordism(*random_build(rng, d)))
+    return out
+
+
+def down_after_up(extra: SimplicialCone | None = None) -> Cobordism:
+    """A blowup at (-1,-1,-1) in the negative orthant, then the blowdown of
+    (1,1,0) over the positive one (the Down circuit e1 + e2 - (1,1,0));
+    extra, when given, is added to the bottom."""
+    up = SimplicialCone(((-1, 0, 0, 0), (0, -1, 0, 0), (0, 0, -1, 0), (-1, -1, -1, 1)))
+    down = SimplicialCone(((1, 0, 0, 2), (0, 1, 0, 2), (1, 1, 0, 0), (0, 0, 1, 0)))
+    cob = Cobordism.from_fan(Fan(4, (up, down)), 3)
+    if extra is None:
+        return cob
+    return dataclasses.replace(cob, bottom=Fan(3, cob.bottom.max_cones + (extra,)))
+
+
 class TestIncrementalFrontCheck:
-    """extract_factorization checks only the pairs a crossing creates; its
+    """extract_factorization checks only pairs holding a fresh cone, and
+    after the first crossing only those the star-local rule names; its
     verdicts and BrokenFan texts must be those of whole-front validate_fan."""
 
     def test_valid_fronts_agree(self, karu):
         for cob in differential_corpus(karu):
             assert incremental_outcome(cob) == full_check_outcome(cob)
-
-    def test_fresh_pair_failure_at_every_crossing(self, karu):
-        # a pair check that rejects every pair holding one cone first seen at
-        # crossing k: both checks must fail there, with the same text
-        real = fanmod._pair_problem
-        crossings = 0
-        for cob in differential_corpus(karu):
-            seen = set(cob.bottom.max_cones)
-            for front in full_check_outcome(cob):
-                fresh = set(front.max_cones) - seen
-                seen |= fresh
-                if not fresh:
-                    continue
-                bad = max(fresh, key=lambda c: c.rays)
-
-                def doctored(a, b, bad=bad):
-                    return f"doctored pair {a} and {b}" if bad in (a, b) else real(a, b)
-
-                with pytest.MonkeyPatch.context() as mp:
-                    mp.setattr(fanmod, "_pair_problem", doctored)
-                    text = incremental_outcome(cob)
-                    assert text == full_check_outcome(cob)
-                    assert text.endswith(f"\n{validate_fan(front)}")
-                crossings += 1
-        assert crossings >= 30
 
     def test_broken_fan_after_first_crossing(self, karu):
         # a cone on the far side of the plane x = 0 shares the face (e2, e3)
@@ -277,27 +310,89 @@ class TestIncrementalFrontCheck:
         assert str(exc.value) == f"front after crossing {list(D2)} is invalid:\n{report}"
         assert str(exc.value) == full_check_outcome(doctored)
 
-    def test_pair_check_count(self, monkeypatch):
-        # all pairs at the first crossing, then only pairs touching a fresh cone
-        cob = ring_cobordism(16)
-        calls = 0
+    def test_star_local_rule(self, karu, monkeypatch):
+        # the checked pairs are exactly the rule's, in order; every pair
+        # holding a fresh cone that the rule skips passes the real check
         real = fanmod._pair_problem
+        calls = []
+
+        def recording(a, b):
+            calls.append((a, b))
+            return real(a, b)
+
+        monkeypatch.setattr(fanmod, "_pair_problem", recording)
+        skipped = 0
+        for cob in differential_corpus(karu) + seeded_builds() + [down_after_up()]:
+            calls.clear()
+            outcome = incremental_outcome(cob)
+            checked = list(calls)
+            assert outcome == full_check_outcome(cob)
+            expected = star_local_pairs(cob)
+            assert checked == [p for pairs in expected for p in pairs]
+            for last, front, pairs in zip([cob.bottom] + outcome, outcome, expected):
+                fresh = set(front.max_cones) - set(last.max_cones)
+                for a, b in itertools.combinations(front.max_cones, 2):
+                    if (a in fresh or b in fresh) and (a, b) not in pairs:
+                        assert real(a, b) is None
+                        skipped += 1
+        assert skipped >= 400, skipped
+
+    def test_faults_next_to_a_star(self):
+        # doctored bottoms that break a front after the first crossing: an
+        # extra orthant sharing a face that a later center splits, and a
+        # cone holding the ray a later Down circuit removes and no other ray
+        # of its star; the texts are those of whole-front validate_fan
+        down_fault = down_after_up(SimplicialCone(((1, 1, 0), (1, 0, -1), (0, 1, -1))))
+        cases = [down_fault]
+        rng = random.Random(70)
+        for d in (3, 4):
+            for _ in range(60):
+                fan, centers = random_build(rng, d)
+                outside = [s for s in itertools.product((1, -1), repeat=d) if _orthant(s) not in fan.max_cones]
+                if len(centers) < 2 or not outside:
+                    continue
+                cob = build_cobordism(fan, centers)
+                bottom = Fan(d, cob.bottom.max_cones + (_orthant(rng.choice(outside)),))
+                cases.append(dataclasses.replace(cob, bottom=bottom))
+        later = 0
+        for cob in cases:
+            assert validate_fan(cob.bottom).ok
+            expected = full_check_outcome(cob)
+            if isinstance(expected, list):
+                continue
+            assert incremental_outcome(cob) == expected
+            _, order = is_collapsible(cob)
+            later += not expected.startswith(f"front after crossing {list(order[0])} ")
+        assert later >= 6, later
+        text = full_check_outcome(down_fault)
+        assert text.startswith("front after crossing [(0, 1, 0, 2), (1, 0, 0, 2), (1, 1, 0, 0)] ")
+        assert text.endswith("overlap beyond their common face (witness direction (1, 1, 0))")
+
+    def test_pair_check_count(self, monkeypatch):
+        # all pairs at the first crossing, then five per crossing on every
+        # ring: the two fresh cones with each other and with the old cones
+        # on either side, whatever the ring's size
+        real = fanmod._pair_problem
+        calls = 0
 
         def counting(a, b):
             nonlocal calls
             calls += 1
             return real(a, b)
 
-        monkeypatch.setattr(fanmod, "_pair_problem", counting)
-        steps = extract_factorization(cob)
-        fronts = [set(s.result.max_cones) for s in steps]
-        assert len(fronts) == 32
-        expected = comb(len(fronts[0]), 2) + sum(
-            comb(len(new), 2) - comb(len(new & old), 2) for old, new in zip(fronts, fronts[1:])
-        )
-        assert calls == expected == 2089
-        # whole-front revalidation would check about 8.5 times as many pairs
-        assert sum(comb(len(f), 2) for f in fronts) == 17744
+        for n in (16, 32, 64):
+            cob = ring_cobordism(n)
+            calls = 0
+            monkeypatch.setattr(fanmod, "_pair_problem", counting)
+            assert len(extract_factorization(cob)) == 2 * n
+            monkeypatch.setattr(fanmod, "_pair_problem", real)
+            per_crossing = [len(pairs) for pairs in star_local_pairs(cob)]
+            assert per_crossing[0] == comb(n + 1, 2)
+            assert set(per_crossing[1:]) == {5}
+            assert calls == sum(per_crossing) == comb(n + 1, 2) + 5 * (2 * n - 1)
+            if n == 16:
+                # the check on every pair holding a fresh cone made 2,089
+                assert calls == 291
 
     def test_double_description_count(self, monkeypatch):
         # every pair of the lifted ring fan has a separating facet certificate,

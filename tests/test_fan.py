@@ -77,6 +77,26 @@ class TestSimplicialCone:
         assert repr(a) == "cone[(0, 1, 0), (1, 0, 0)]"
         assert dataclasses.replace(a, rays=((0, 0, 1),)) == SimplicialCone(((0, 0, 1),))
 
+    def test_face_constructor_matches_full_one(self):
+        # a face cut out of a known cone skips the checks, not the value
+        rng = random.Random(17)
+        for d in (2, 3, 4):
+            checked = 0
+            while checked < 100:
+                rays = {tuple(rng.randint(-3, 3) for _ in range(d)) for _ in range(rng.randint(1, d))}
+                try:
+                    cone = SimplicialCone(tuple(primitive(r) for r in rays))
+                except (ValueError, ZeroVector, DependentInput):
+                    continue
+                sub = tuple(r for r in cone.rays if rng.random() < 0.6) or cone.rays[:1]
+                face, full = SimplicialCone._face(sub), SimplicialCone(sub)
+                assert face == full and face.rays == full.rays
+                assert hash(face) == hash(full) and repr(face) == repr(full)
+                assert len({face, full}) == 1
+                checked += 1
+        with pytest.raises(ValueError):
+            SimplicialCone._face(())
+
 
 class TestIsSmooth:
     def test_basis(self):
