@@ -2,17 +2,19 @@
 
 A cobordism lives one dimension up: rays carry a height coordinate, and the
 projection drops it.  A maximal cone whose projected rays are dependent has a
-unique minimal dependent subset (its circuit); the sign of the dependency,
-normalized against the heights, splits the circuit rays into positive and
-negative ones and drives everything downstream (pointing classification,
-collapsibility, factorization).
+unique minimal dependent subset (its circuit); the dependency is the
+coefficient vector of the height direction in the cone's rays, read off its
+facet normals.  Its signs split the circuit rays into positive and negative
+ones and drive everything downstream (pointing classification, the lower
+and upper boundary, collapsibility, factorization).
 """
 
 from __future__ import annotations
 
 import enum
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from math import lcm
 
 from .errors import (
     AssertionFailed,
@@ -24,7 +26,7 @@ from .errors import (
     NotInSupport,
     ParseError,
 )
-from .exact import Vec, kernel_relation, primitive, rank, solve_in_span
+from .exact import Vec, dot, primitive, rank, solve_in_span
 from . import fan as fanmod
 from .fan import Fan, SimplicialCone, ValidationReport, fan_from_doc, fan_to_doc
 
@@ -45,10 +47,6 @@ class ConeClass(enum.Enum):
 
 def base_part(v: Vec) -> Vec:
     return v[:-1]
-
-
-def height(v: Vec) -> int:
-    return v[-1]
 
 
 def project(cone: SimplicialCone) -> tuple[tuple[Vec, ...], bool]:
@@ -80,26 +78,31 @@ class Circuit:
 
 
 def circuit_of(cone: SimplicialCone) -> Circuit | None:
-    """The circuit of a lifted cone, or None when it is projection-independent."""
-    projs = [base_part(r) for r in cone.rays]
-    rel = kernel_relation(projs)  # nullity <= 1 whenever the lifted cone is simplicial
-    if rel is None:
+    """The circuit of a lifted cone, or None when it is projection-independent.
+
+    A relation sum r_i pi(v_i) = 0 of the projected rays lifts to
+    sum r_i v_i = (sum r_i h_i) e, e = e_{d+1}, so the relation exists iff e
+    is in span(cone) (no _span_equalities row has a nonzero last entry) and
+    is then the coefficient vector of e.  The facet normal w_i of v_i pairs
+    with v_i alone, so that coefficient is w_i[-1] / <w_i, v_i>.  The result
+    is checked exactly: it maps the rays to a positive multiple of e.
+    """
+    if cone.dim < cone.ambient_dim and any(y[-1] for y in fanmod._span_equalities(cone)):
         return None
+    normals = fanmod._facet_normals(cone)
+    pairings = [dot(w, v) for w, v in zip(normals, cone.rays)]
+    scale = lcm(*pairings)
+    rel = primitive([w[-1] * (scale // p) for w, p in zip(normals, pairings)])
+    image = [sum(c * v[i] for c, v in zip(rel, cone.rays)) for i in range(cone.ambient_dim)]
+    if any(image[:-1]) or image[-1] <= 0:
+        raise AssertionFailed(f"relation {rel} maps the rays of {cone} to {image}, not to e")
     support = [(ray, c) for ray, c in zip(cone.rays, rel) if c != 0]
-    pairing = sum(c * height(ray) for ray, c in support)
-    if pairing == 0:
-        raise AssertionFailed(f"zero height pairing in {cone} contradicts simpliciality")
-    if pairing < 0:
-        support = [(ray, -c) for ray, c in support]
-    support.sort(key=lambda rc: rc[0])
-    rays = tuple(r for r, _ in support)
-    relation = tuple(c for _, c in support)
     return Circuit(
-        rays=rays,
-        relation=relation,
+        rays=tuple(r for r, _ in support),
+        relation=tuple(c for _, c in support),
         pos=tuple(r for r, c in support if c > 0),
         neg=tuple(r for r, c in support if c < 0),
-        link=tuple(r for r in cone.rays if r not in set(rays)),
+        link=tuple(r for r, c in zip(cone.rays, rel) if c == 0),
     )
 
 
@@ -130,16 +133,14 @@ def boundary(fan: Fan, side: Side) -> tuple[SimplicialCone, ...]:
     in canonical order.
 
     With e = e_{d+1} the height direction and, for a maximal cone tau with e
-    in its span, pos(tau) the rays where e has a positive coefficient in the
-    rays of tau (the positive circuit rays):
+    in its span, pos(tau) = circuit_of(tau).pos, the rays where e has a
+    positive coefficient in the rays of tau:
 
-    - a maximal cone whose span misses e (a row of _span_equalities has a
-      nonzero last entry) is a face on both sides;
-    - for any other maximal cone sigma and ray v, the face sigma minus v is
-      a lower (upper) face when the last entry of the facet normal of v in
-      _facet_normals(sigma), which has the sign of the coefficient of e at
-      v, is > 0 (< 0), and no other maximal cone holds every ray of the
-      face.
+    - a projection-independent maximal cone (circuit_of gives None, as its
+      span misses e) is a face on both sides;
+    - for any other maximal cone sigma and v in circuit_of(sigma).pos
+      (.neg), the face sigma minus v is a lower (upper) face when no other
+      maximal cone holds every ray of the face.
 
     The boundary is the set of maximal projection-independent faces G whose
     barycenter x, nudged by -e (+e), leaves the support for every small
@@ -180,20 +181,17 @@ def boundary(fan: Fan, side: Side) -> tuple[SimplicialCone, ...]:
     On a fan that fails validate_fan the same rule runs; its faces are then
     the rule's and carry no such guarantee.
     """
-    sign = 1 if side is Side.LOWER else -1
     holders: dict[Vec, set[int]] = {}
     for i, cone in enumerate(fan.max_cones):
         for r in cone.rays:
             holders.setdefault(r, set()).add(i)
     faces = []
     for i, cone in enumerate(fan.max_cones):
-        # a full-dimensional span holds e; skip its (empty) equalities
-        if cone.dim < fan.ambient_dim and any(y[-1] for y in fanmod._span_equalities(cone)):
+        circ = circuit_of(cone)
+        if circ is None:
             faces.append(cone.rays)
             continue
-        for v, w in zip(cone.rays, fanmod._facet_normals(cone)):
-            if w[-1] * sign <= 0:
-                continue
+        for v in circ.pos if side is Side.LOWER else circ.neg:
             face = tuple(r for r in cone.rays if r != v)
             if set.intersection(*(holders[r] for r in face)) == {i}:
                 faces.append(face)
@@ -212,9 +210,7 @@ class Cobordism:
     """A lifted fan together with its boundary data.
 
     bottom and top are the projections of the lower and upper boundary faces;
-    they are computed once at construction and cached here, as is upstairs,
-    the validate_fan report of the lifted fan (None when the cobordism was
-    built without from_fan).
+    they are computed once at construction and cached here.
     """
 
     base_dim: int
@@ -223,17 +219,15 @@ class Cobordism:
     upper_faces: tuple[SimplicialCone, ...]
     bottom: Fan
     top: Fan
-    upstairs: ValidationReport | None = field(default=None, compare=False, repr=False)
 
     @classmethod
     def from_fan(cls, fan: Fan, base_dim: int | None = None) -> "Cobordism":
         """The cobordism of a lifted fan; a vertical ray raises InvalidFan.
 
-        The fan's validate_fan report is stored as upstairs, and boundary
-        gives both sides on every fan, valid or not, in time polynomial in
-        the number and width of its cones.  Only on a valid fan are they
-        the boundary proved in its docstring; validate_cobordism reports an
-        invalid one by its upstairs problems alone.
+        Computes the circuits, the boundary faces read off them and their
+        projections, and nothing else, in polynomial time on every fan.  Only
+        on a fan that passes validate_fan (checked by validate_cobordism, not
+        here) are they the boundary proved in boundary's docstring.
         """
         if base_dim is None:
             base_dim = fan.ambient_dim - 1
@@ -246,7 +240,6 @@ class Cobordism:
         for r in fan.rays:
             if all(x == 0 for x in base_part(r)):
                 raise InvalidFan(f"vertical ray {r} (zero projection) is not allowed")
-        upstairs = fanmod.validate_fan(fan)
         lower, upper = boundary(fan, Side.LOWER), boundary(fan, Side.UPPER)
         return cls(
             base_dim=base_dim,
@@ -255,13 +248,12 @@ class Cobordism:
             upper_faces=upper,
             bottom=_projected_fan(lower, base_dim),
             top=_projected_fan(upper, base_dim),
-            upstairs=upstairs,
         )
 
 
 def _cone_problems(cob: Cobordism) -> list[str]:
     """The checks read off single cones: degenerate circuits, and boundary
-    faces whose projection collapses rays or repeats another face's."""
+    faces projecting to the same cone (each projects injectively)."""
     problems = []
     for cone in cob.fan.max_cones:
         if classify(cone) is ConeClass.DEGENERATE:
@@ -270,8 +262,6 @@ def _cone_problems(cob: Cobordism) -> list[str]:
         seen: dict[tuple[Vec, ...], SimplicialCone] = {}
         for f in faces:
             proj = tuple(sorted(primitive(base_part(r)) for r in f.rays))
-            if len(set(proj)) != len(proj):
-                problems.append(f"{side} face {f} projects with collapsed rays")
             if proj in seen:
                 problems.append(
                     f"{side} faces {seen[proj]} and {f} project to the same cone"
@@ -288,12 +278,11 @@ def validate_cobordism(
     """Full validity check: fan axioms upstairs, boundary fans downstairs,
     equal supports, optional expected boundaries, no degenerate circuits.
 
-    The upstairs report is the one from_fan stored, when there is one.  A
-    lifted fan that fails it gets the upstairs problems alone: its boundary
-    faces carry no guarantee, so nothing downstairs is checked.
+    The lifted fan goes through validate_fan once.  A lifted fan that fails
+    it gets the upstairs problems alone: its boundary faces carry no
+    guarantee, so nothing downstairs is checked.
     """
-    up = cob.upstairs if cob.upstairs is not None else fanmod.validate_fan(cob.fan)
-    problems = [f"upstairs: {p}" for p in up.problems]
+    problems = [f"upstairs: {p}" for p in fanmod.validate_fan(cob.fan).problems]
     if problems:
         return ValidationReport(tuple(problems))
     problems += _cone_problems(cob)
@@ -319,18 +308,19 @@ def build_cobordism(delta: Fan, centers, heights=None) -> Cobordism:
     """Record a star-subdivision sequence as a cobordism over the input fan.
 
     Rays of the input fan sit at height 0 and the t-th center at heights[t]
-    (1, 2, 3, ... by default).  Each step lifts every maximal cone about to
-    be subdivided, joining it to the lifted center; cones never touched by
-    any step enter at height 0 so that the bottom always projects back to
-    the input fan.
+    (1, 2, 3, ... by default).  Each step lifts the star it subdivides,
+    joining each cone to the lifted center; the input fan's cones left in
+    the final fan enter at height 0 so that the bottom always projects back
+    to the input fan.
 
     The result is proved valid without the full validate_cobordism when the
-    stored upstairs report is ok, no single cone fails (_cone_problems), the
-    bottom equals the input fan, the top equals the subdivided fan and the
-    input fan passes validate_fan: a star subdivision of a valid simplicial
+    bottom equals the input fan, the top equals the subdivided fan, no
+    single cone fails (_cone_problems), the input fan passes validate_fan
+    and so does the lifted fan: a star subdivision of a valid simplicial
     fan is a valid fan with the same support (Ewald 1996, III.2; Fulton
     1993, 2.4), so the top's fan axioms and both covering passes hold.  Any
-    other outcome runs validate_cobordism, so its report is the one raised.
+    other outcome raises validate_cobordism's report, which names every
+    failed condition (an invalid input fan shows as the bottom's problems).
     """
     centers = [primitive(tuple(operator.index(x) for x in c)) for c in centers]
     for c in centers:
@@ -350,7 +340,6 @@ def build_cobordism(delta: Fan, centers, heights=None) -> Cobordism:
 
     height_of: dict[Vec, int] = {r: 0 for r in delta.rays}
     current = delta
-    untouched = set(delta.max_cones)
     lifted: list[SimplicialCone] = []
     for center, h in zip(centers, heights):
         # height_of holds exactly the running fan's rays
@@ -360,7 +349,6 @@ def build_cobordism(delta: Fan, centers, heights=None) -> Cobordism:
             tau = fanmod.minimal_containing_cone(current, center)
         except NotInSupport as exc:
             raise CenterNotInSupport(str(exc)) from exc
-        tau_rays = set(tau.rays)
         # the lifted center must clear the running graph sheet, or the new
         # cones dip into the ones already recorded
         lam = solve_in_span(tau.rays, center)
@@ -371,30 +359,27 @@ def build_cobordism(delta: Fan, centers, heights=None) -> Cobordism:
                 f"sheet already sits at {graph_height} there; "
                 "choose strictly larger heights"
             )
-        lifted_center = center + (h,)
-        for sigma in current.max_cones:
-            if not tau_rays <= set(sigma.rays):
-                continue
-            gens = tuple(r + (height_of[r],) for r in sigma.rays) + (lifted_center,)
+        current, star = fanmod._split_at(current, center, tau)
+        for sigma in star:
+            gens = tuple(r + (height_of[r],) for r in sigma.rays) + (center + (h,),)
             lifted.append(SimplicialCone(gens))
-            untouched.discard(sigma)
         height_of[center] = h
-        current = fanmod._split_at(current, center, tau)
-    for sigma in sorted(untouched, key=lambda c: c.rays):
-        lifted.append(SimplicialCone(tuple(r + (0,) for r in sigma.rays)))
+    original = set(delta.max_cones)
+    lifted += [
+        SimplicialCone(tuple(r + (0,) for r in c.rays)) for c in current.max_cones if c in original
+    ]
 
     cob = Cobordism.from_fan(Fan(delta.ambient_dim + 1, tuple(lifted)), delta.ambient_dim)
     proved = (
-        cob.upstairs.ok
-        and fanmod.fans_equal(cob.bottom, delta)
+        fanmod.fans_equal(cob.bottom, delta)
         and fanmod.fans_equal(cob.top, current)
         and not _cone_problems(cob)
         and fanmod.validate_fan(delta).ok
+        and fanmod.validate_fan(cob.fan).ok
     )
     if not proved:
         report = validate_cobordism(cob, expected_bottom=delta, expected_top=current)
-        if not report.ok:
-            raise InvalidFan(f"constructed cobordism failed validation:\n{report}")
+        raise InvalidFan(f"constructed cobordism failed validation:\n{report}")
     return cob
 
 

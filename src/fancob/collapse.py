@@ -90,12 +90,12 @@ def circuit_graph(cob: Cobordism) -> CollapseGraph:
         else:
             circuits[key] = circ
         cones.setdefault(key, []).append(cone)
+    carriers: dict[Vec, set[CircuitKey]] = {}  # ray -> circuits with a cone holding it
+    for key, held in cones.items():
+        for r in {r for cone in held for r in cone.rays}:
+            carriers.setdefault(r, set()).add(key)
+    edges = {(a, b) for a, c in circuits.items() for p in c.pos for b in carriers[p] if b != a}
     nodes = tuple(sorted(circuits))
-    edges = []
-    for a, b in itertools.permutations(nodes, 2):
-        pos_a = set(circuits[a].pos)
-        if any(pos_a & set(cone.rays) for cone in cones[b]):
-            edges.append((a, b))
     return CollapseGraph(
         nodes=nodes,
         edges=tuple(sorted(edges)),

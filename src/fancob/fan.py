@@ -361,23 +361,26 @@ def star_subdivide(fan: Fan, center) -> Fan:
         raise ValueError(f"subdivision center {center} must be primitive")
     if center in fan.rays:
         return fan
-    return _split_at(fan, center, minimal_containing_cone(fan, center))
+    return _split_at(fan, center, minimal_containing_cone(fan, center))[0]
 
 
-def _split_at(fan: Fan, center: Vec, tau: SimplicialCone) -> Fan:
+def _split_at(fan: Fan, center: Vec, tau: SimplicialCone) -> tuple[Fan, list[SimplicialCone]]:
     """star_subdivide at a primitive center that is no ray of the fan, with
-    tau = minimal_containing_cone(fan, center) already located."""
+    tau = minimal_containing_cone(fan, center) already located, and the
+    star it split (the maximal cones holding tau)."""
     tau_rays = set(tau.rays)
     new_cones: list[SimplicialCone] = []
+    star = []
     for sigma in fan.max_cones:
         if tau_rays <= set(sigma.rays):
+            star.append(sigma)
             for w in tau.rays:
                 new_cones.append(
                     SimplicialCone((center,) + tuple(r for r in sigma.rays if r != w))
                 )
         else:
             new_cones.append(sigma)
-    return Fan(fan.ambient_dim, tuple(new_cones))
+    return Fan(fan.ambient_dim, tuple(new_cones)), star
 
 
 def fans_equal(a: Fan, b: Fan) -> bool:

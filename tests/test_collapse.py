@@ -22,11 +22,12 @@ from fancob.collapse import (
     to_dot,
     transcript,
 )
+from fancob.demos import karu_counterexample
 from fancob.errors import BrokenFan, FrontMismatch, InvalidFan, NotCollapsible
 from fancob.exact import primitive
 from fancob.fan import Fan, SimplicialCone, fans_equal, is_smooth, star_subdivide, validate_fan
 from conftest import orthant_fan, random_center_sequence, random_smooth_fan
-from test_facet_boundary import _orthant, random_build
+from test_facet_boundary import _orthant, fixture_cobordisms, random_build
 
 D1 = tuple(sorted([(1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 1)]))
 D2 = tuple(sorted([(0, 1, 0, 0), (0, 0, 1, 0), (0, 1, 1, 2)]))
@@ -61,6 +62,36 @@ class TestCircuitGraph:
         rebuilt = Cobordism.from_fan(Fan(4, tuple(cones)), 3)
         a, b = circuit_graph(karu), circuit_graph(rebuilt)
         assert a.nodes == b.nodes and a.edges == b.edges
+
+    def test_edges_match_the_pair_rule(self, karu, cyclic):
+        # the ray -> circuits index gives the edges of the rule tested on
+        # every ordered pair of circuits
+        reflected = reflected_karu(karu)
+        corpus = fixture_cobordisms() + [
+            karu, cyclic, karu_counterexample().cobordism, reflected,
+        ] + seeded_builds() + differential_corpus(karu)
+        for cob in corpus:
+            graph = circuit_graph(cob)
+            assert graph.edges == pair_rule_edges(graph), cob.fan.max_cones
+        assert len(circuit_graph(reflected).edges) == 6
+        assert sum(len(circuit_graph(c).edges) for c in corpus) >= 80
+
+
+def pair_rule_edges(graph) -> tuple:
+    """A -> B for each ordered pair where a cone carrying B holds a positive
+    ray of A, sorted."""
+    return tuple(sorted(
+        (a, b) for a, b in itertools.permutations(graph.nodes, 2)
+        if any(set(graph.circuits[a].pos) & set(c.rays) for c in graph.cones[b])
+    ))
+
+
+def reflected_karu(karu: Cobordism) -> Cobordism:
+    """The Karu build with every lifted height negated: three blowdowns
+    sharing the positive ray (0,0,1,0), so every circuit points at the
+    other two."""
+    cones = tuple(SimplicialCone(tuple(r[:-1] + (-r[-1],) for r in c.rays)) for c in karu.fan.max_cones)
+    return Cobordism.from_fan(Fan(4, cones), 3)
 
 
 class TestIsCollapsible:

@@ -362,9 +362,13 @@ class TestInvariantChecks:
         finally:
             fan._facet_normals.cache_clear()
 
-    def test_height_pairing_check(self, monkeypatch):
-        # the first two rays sit at height 0, so the relation (1, -1, 0) pairs to 0
-        monkeypatch.setattr(cobordism, "kernel_relation", lambda projs: (1, -1, 0))
+    @pytest.mark.parametrize("normals", [
+        ((0, 1, 1), (1, 0, 1), (2, 0, -1)),  # relation (1, 1, -1): pairs to -1 with the heights
+        ((0, 1, 1), (1, 0, -1), (0, 0, 1)),  # relation (1, -1, 1): projects to (0, 2), not 0
+    ])
+    def test_height_pairing_check(self, monkeypatch, normals):
+        # the real normals ((0, 1, -1), (1, 0, -1), (0, 0, 1)) give e = v3 - v1 - v2
+        monkeypatch.setattr(fan, "_facet_normals", lambda cone: normals)
         with pytest.raises(AssertionFailed):
             cobordism.circuit_of(SimplicialCone(((0, 1, 0), (1, 0, 0), (1, 1, 1))))
 

@@ -1,10 +1,10 @@
-"""The boundary rule, the proved build_cobordism and the maximal-face
-smoothness test: differential tests against the all-faces enumerations
-they replace, kept here as oracles."""
+"""The circuit reading, the boundary rule, the proved build_cobordism and
+the maximal-face smoothness test: differential tests against the
+kernel_relation circuit and the all-faces enumerations they replace, kept
+here as oracles."""
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import json
 import random
@@ -14,6 +14,7 @@ import pytest
 from fancob import fan as fanmod
 from fancob.cli import main
 from fancob.cobordism import (
+    Circuit,
     Cobordism,
     Side,
     boundary,
@@ -26,11 +27,33 @@ from fancob.cobordism import (
 from fancob.collapse import is_pi_nonsingular
 from fancob.demos import karu_counterexample, noncollapsible_example
 from fancob.errors import DependentInput, InvalidFan
-from fancob.exact import det, maximal_minor_gcd, primitive, rank
+from fancob.exact import det, kernel_relation, maximal_minor_gcd, primitive, rank
 from fancob.fan import Fan, SimplicialCone, star_subdivide, validate_fan
-from conftest import FIXTURES, random_center_sequence
+from conftest import FIXTURES, KARU_CENTERS, orthant_fan, random_center_sequence
 
-# --- reference oracles: every projection-independent face of every cone -------
+# --- reference oracles ------------------------------------------------------------
+
+
+def oracle_circuit_of(cone: SimplicialCone) -> Circuit | None:
+    """The circuit by a kernel_relation elimination on the projected rays."""
+    rel = kernel_relation([r[:-1] for r in cone.rays])
+    if rel is None:
+        return None
+    support = [(ray, c) for ray, c in zip(cone.rays, rel) if c != 0]
+    if sum(c * ray[-1] for ray, c in support) < 0:
+        support = [(ray, -c) for ray, c in support]
+    support.sort()
+    rays = tuple(r for r, _ in support)
+    return Circuit(
+        rays=rays,
+        relation=tuple(c for _, c in support),
+        pos=tuple(r for r, c in support if c > 0),
+        neg=tuple(r for r, c in support if c < 0),
+        link=tuple(r for r in cone.rays if r not in rays),
+    )
+
+
+# every projection-independent face of every cone
 
 
 def oracle_independent_faces(fan: Fan) -> list[tuple]:
@@ -125,7 +148,7 @@ class TestFacetBoundary:
         ]
         assert len(corpus) == 9
         for cob in corpus:
-            assert cob.upstairs.ok
+            assert validate_fan(cob.fan).ok
             assert_matches_oracles(cob)
 
     @pytest.mark.parametrize("d", [2, 3, 4])
@@ -231,8 +254,60 @@ class TestFacetBoundary:
         assert invalid >= 20, invalid
 
 
-class TestStoredUpstairsReport:
-    def test_validate_cobordism_reuses_it(self, karu, monkeypatch):
+def random_lifted_cone(rng: random.Random, d: int, k: int, dependent: bool) -> SimplicialCone:
+    """A cone on k independent primitive rays in Z^(d+1); with dependent, its
+    last ray is a combination of the others plus a multiple of e, so e lies
+    in its span (always so when k = d + 1)."""
+    while True:
+        rays = [tuple(rng.randint(-3, 3) for _ in range(d + 1)) for _ in range(k)]
+        if dependent and k <= d:
+            mix = [rng.randint(-2, 2) for _ in range(k - 1)]
+            rays[-1] = tuple(sum(m * r[i] for m, r in zip(mix, rays)) for i in range(d + 1))
+            rays[-1] = rays[-1][:-1] + (rays[-1][-1] + rng.choice((-2, -1, 1, 2)),)
+        if any(not any(r) for r in rays) or rank(rays) != k:
+            continue
+        return SimplicialCone(tuple(primitive(r) for r in rays))
+
+
+class TestCircuitReading:
+    def test_matches_kernel_relation_oracle(self):
+        rng = random.Random(660)
+        kinds = {"full": 0, "lower dependent": 0, "lower independent": 0, "degenerate": 0}
+        dims = {d: 0 for d in (1, 2, 3, 4)}
+        for _ in range(1200):
+            d = rng.randint(1, 4)
+            k = rng.randint(1, d + 1)
+            cone = random_lifted_cone(rng, d, k, dependent=rng.random() < 0.6)
+            circ = circuit_of(cone)
+            assert circ == oracle_circuit_of(cone), cone
+            dims[d] += 1
+            if k == d + 1:
+                kinds["full"] += 1
+            else:
+                kinds["lower dependent" if circ else "lower independent"] += 1
+            kinds["degenerate"] += bool(circ and not (circ.pos and circ.neg))
+        assert min(kinds.values()) >= 100 and min(dims.values()) >= 200, (kinds, dims)
+
+    def test_built_cones(self):
+        # every maximal cone of the fixtures, the demos and seeded builds
+        karu = karu_counterexample()
+        cobs = fixture_cobordisms() + [noncollapsible_example(), karu.cobordism]
+        rng = random.Random(661)
+        cobs += [build_cobordism(*random_build(rng, d)) for d in (2, 3, 4) for _ in range(30)]
+        cones = [c for cob in cobs for c in cob.fan.max_cones]
+        assert len(cones) >= 250, len(cones)
+        for cone in cones:
+            assert circuit_of(cone) == oracle_circuit_of(cone), cone
+
+
+class TestUpstairsValidation:
+    def test_from_fan_makes_no_validate_fan_call(self, karu, monkeypatch):
+        monkeypatch.setattr(fanmod, "validate_fan", lambda fan: pytest.fail("validate_fan"))
+        assert Cobordism.from_fan(karu.fan, 3) == karu
+        for path in sorted(FIXTURES.glob("*.cob")):
+            cobordism_from_doc(json.loads(path.read_text()))
+
+    def test_validate_cobordism_validates_upstairs_once(self, karu, monkeypatch):
         checked = []
         real = fanmod.validate_fan
 
@@ -241,11 +316,27 @@ class TestStoredUpstairsReport:
             return real(fan)
 
         monkeypatch.setattr(fanmod, "validate_fan", recording)
-        report = validate_cobordism(karu)
-        assert karu.upstairs.ok and report.ok and karu.fan not in checked
+        assert validate_cobordism(karu).ok
+        assert checked.count(karu.fan) == 1 and len(checked) == 3  # upstairs, bottom, top
+        overlap = Fan(4, (
+            SimplicialCone(((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 1, 1, 1))),
+            SimplicialCone(((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 1, 1, 2))),
+        ))
         checked.clear()
-        assert validate_cobordism(dataclasses.replace(karu, upstairs=None)) == report
-        assert checked.count(karu.fan) == 1
+        assert not validate_cobordism(Cobordism.from_fan(overlap, 3)).ok
+        assert checked == [overlap]
+
+    def test_build_validates_the_lifted_fan_once(self, monkeypatch):
+        checked = []
+        real = fanmod.validate_fan
+
+        def recording(fan):
+            checked.append(fan)
+            return real(fan)
+
+        monkeypatch.setattr(fanmod, "validate_fan", recording)
+        cob = build_cobordism(orthant_fan(), KARU_CENTERS)
+        assert checked == [orthant_fan(), cob.fan]
 
 
 class TestProvedBuild:
