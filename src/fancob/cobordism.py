@@ -15,6 +15,7 @@ import enum
 import operator
 from dataclasses import dataclass
 from math import lcm
+from operator import mul
 
 from .errors import (
     AssertionFailed,
@@ -26,7 +27,7 @@ from .errors import (
     NotInSupport,
     ParseError,
 )
-from .exact import Vec, dot, primitive, rank, solve_in_span
+from .exact import Vec, primitive, rank, solve_in_span
 from . import fan as fanmod
 from .fan import Fan, SimplicialCone, ValidationReport, fan_from_doc, fan_to_doc
 
@@ -90,19 +91,19 @@ def circuit_of(cone: SimplicialCone) -> Circuit | None:
     if cone.dim < cone.ambient_dim and any(y[-1] for y in fanmod._span_equalities(cone)):
         return None
     normals = fanmod._facet_normals(cone)
-    pairings = [dot(w, v) for w, v in zip(normals, cone.rays)]
+    pairings = [sum(map(mul, w, v)) for w, v in zip(normals, cone.rays)]
     scale = lcm(*pairings)
     rel = primitive([w[-1] * (scale // p) for w, p in zip(normals, pairings)])
-    image = [sum(c * v[i] for c, v in zip(rel, cone.rays)) for i in range(cone.ambient_dim)]
+    image = [sum(map(mul, rel, column)) for column in zip(*cone.rays)]
     if any(image[:-1]) or image[-1] <= 0:
         raise AssertionFailed(f"relation {rel} maps the rays of {cone} to {image}, not to e")
-    support = [(ray, c) for ray, c in zip(cone.rays, rel) if c != 0]
+    rays, relation = zip(*((r, c) for r, c in zip(cone.rays, rel) if c))
     return Circuit(
-        rays=tuple(r for r, _ in support),
-        relation=tuple(c for _, c in support),
-        pos=tuple(r for r, c in support if c > 0),
-        neg=tuple(r for r, c in support if c < 0),
-        link=tuple(r for r, c in zip(cone.rays, rel) if c == 0),
+        rays=rays,
+        relation=relation,
+        pos=tuple(r for r, c in zip(rays, relation) if c > 0),
+        neg=tuple(r for r, c in zip(rays, relation) if c < 0),
+        link=tuple(r for r, c in zip(cone.rays, rel) if not c),
     )
 
 

@@ -362,15 +362,16 @@ class TestInvariantChecks:
         finally:
             fan._facet_normals.cache_clear()
 
-    @pytest.mark.parametrize("normals", [
-        ((0, 1, 1), (1, 0, 1), (2, 0, -1)),  # relation (1, 1, -1): pairs to -1 with the heights
-        ((0, 1, 1), (1, 0, -1), (0, 0, 1)),  # relation (1, -1, 1): projects to (0, 2), not 0
-    ])
-    def test_height_pairing_check(self, monkeypatch, normals):
+    def test_height_pairing_check(self, monkeypatch):
         # the real normals ((0, 1, -1), (1, 0, -1), (0, 0, 1)) give e = v3 - v1 - v2
-        monkeypatch.setattr(fan, "_facet_normals", lambda cone: normals)
-        with pytest.raises(AssertionFailed):
-            cobordism.circuit_of(SimplicialCone(((0, 1, 0), (1, 0, 0), (1, 1, 1))))
+        cone = SimplicialCone(((0, 1, 0), (1, 0, 0), (1, 1, 1)))
+        for normals in (
+            ((0, 1, 1), (1, 0, 1), (2, 0, -1)),  # relation (1, 1, -1): pairs to -1 with the heights
+            ((0, 1, 1), (1, 0, -1), (0, 0, 1)),  # relation (1, -1, 1): projects to (0, 2), not 0
+        ):
+            monkeypatch.setattr(fan, "_facet_normals", lambda c: normals)
+            with pytest.raises(AssertionFailed):
+                cobordism.circuit_of(cone)
 
     def test_circuit_sign_partition_check(self, monkeypatch):
         key = ((0, 1, 0), (1, 0, 0), (1, 1, 1))

@@ -16,8 +16,10 @@ and review the diff of tests/golden/ like any other change.
 
 from __future__ import annotations
 
+import io
 import json
-import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -57,8 +59,9 @@ def _cases() -> dict[str, list[str]]:
 CASES = _cases()
 
 
-def _transcript(argv: list[str], tmp: Path, capsys) -> dict:
-    """Run one command and return its normalized transcript."""
+def _transcript(argv: list[str], tmp: Path, run) -> dict:
+    """Run one command through run(argv) -> (exit code, stdout, stderr) and
+    return its normalized transcript."""
     tmp.mkdir(parents=True, exist_ok=True)
 
     def fill(s: str) -> str:
@@ -67,9 +70,7 @@ def _transcript(argv: list[str], tmp: Path, capsys) -> dict:
     def norm(s: str) -> list[str]:
         return s.replace(str(tmp), "{tmp}").replace(str(FIXTURES), "{fixtures}").split("\n")
 
-    capsys.readouterr()
-    code = main([fill(a) for a in argv])
-    out, err = capsys.readouterr()
+    code, out, err = run([fill(a) for a in argv])
     return {
         "argv": argv,
         "exit_code": code,
@@ -81,40 +82,34 @@ def _transcript(argv: list[str], tmp: Path, capsys) -> dict:
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_golden_transcript(case, tmp_path, capsys):
+    def run(argv):
+        capsys.readouterr()
+        code = main(argv)
+        return (code, *capsys.readouterr())
+
     expected = json.loads((GOLDEN / f"{case}.json").read_text())
-    assert _transcript(CASES[case], tmp_path / "run", capsys) == expected
+    assert _transcript(CASES[case], tmp_path / "run", run) == expected
 
 
 def test_every_golden_file_has_a_case():
     assert sorted(p.stem for p in GOLDEN.glob("*.json")) == sorted(CASES)
 
 
-class _Capture:
-    """capsys stand-in for recording outside pytest."""
-
-    def readouterr(self):
-        out, err = sys.stdout.getvalue(), sys.stderr.getvalue()
-        sys.stdout.seek(0), sys.stdout.truncate()
-        sys.stderr.seek(0), sys.stderr.truncate()
-        return out, err
+def _run_redirected(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
 
 
 def record() -> None:
     """Rewrite tests/golden/ from the current code."""
-    import io
-    import tempfile
-
     GOLDEN.mkdir(exist_ok=True)
     for old in GOLDEN.glob("*.json"):
         old.unlink()
-    real = sys.stdout, sys.stderr
     for case, argv in sorted(CASES.items()):
         with tempfile.TemporaryDirectory() as tmp:
-            sys.stdout, sys.stderr = io.StringIO(), io.StringIO()
-            try:
-                doc = _transcript(argv, Path(tmp) / "run", _Capture())
-            finally:
-                sys.stdout, sys.stderr = real
+            doc = _transcript(argv, Path(tmp) / "run", _run_redirected)
         (GOLDEN / f"{case}.json").write_text(json.dumps(doc, indent=1) + "\n")
     print(f"recorded {len(CASES)} transcripts in {GOLDEN}")
 
