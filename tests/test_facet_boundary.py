@@ -300,43 +300,41 @@ class TestCircuitReading:
             assert circuit_of(cone) == oracle_circuit_of(cone), cone
 
 
+@pytest.fixture
+def validate_fan_calls(monkeypatch) -> list[Fan]:
+    """The fans passed to fan.validate_fan from here on, in call order."""
+    checked = []
+    real = fanmod.validate_fan
+
+    def recording(fan):
+        checked.append(fan)
+        return real(fan)
+
+    monkeypatch.setattr(fanmod, "validate_fan", recording)
+    return checked
+
+
 class TestUpstairsValidation:
-    def test_from_fan_makes_no_validate_fan_call(self, karu, monkeypatch):
-        monkeypatch.setattr(fanmod, "validate_fan", lambda fan: pytest.fail("validate_fan"))
+    def test_from_fan_makes_no_validate_fan_call(self, karu, validate_fan_calls):
         assert Cobordism.from_fan(karu.fan, 3) == karu
         for path in sorted(FIXTURES.glob("*.cob")):
             cobordism_from_doc(json.loads(path.read_text()))
+        assert validate_fan_calls == []
 
-    def test_validate_cobordism_validates_upstairs_once(self, karu, monkeypatch):
-        checked = []
-        real = fanmod.validate_fan
-
-        def recording(fan):
-            checked.append(fan)
-            return real(fan)
-
-        monkeypatch.setattr(fanmod, "validate_fan", recording)
+    def test_validate_cobordism_validates_upstairs_once(self, karu, validate_fan_calls):
         assert validate_cobordism(karu).ok
-        assert checked.count(karu.fan) == 1 and len(checked) == 3  # upstairs, bottom, top
+        assert validate_fan_calls == [karu.fan, karu.bottom, karu.top]
         overlap = Fan(4, (
             SimplicialCone(((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 1, 1, 1))),
             SimplicialCone(((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 1, 1, 2))),
         ))
-        checked.clear()
+        validate_fan_calls.clear()
         assert not validate_cobordism(Cobordism.from_fan(overlap, 3)).ok
-        assert checked == [overlap]
+        assert validate_fan_calls == [overlap]
 
-    def test_build_validates_the_lifted_fan_once(self, monkeypatch):
-        checked = []
-        real = fanmod.validate_fan
-
-        def recording(fan):
-            checked.append(fan)
-            return real(fan)
-
-        monkeypatch.setattr(fanmod, "validate_fan", recording)
+    def test_build_validates_the_lifted_fan_once(self, validate_fan_calls):
         cob = build_cobordism(orthant_fan(), KARU_CENTERS)
-        assert checked == [orthant_fan(), cob.fan]
+        assert validate_fan_calls == [orthant_fan(), cob.fan]
 
 
 class TestProvedBuild:
