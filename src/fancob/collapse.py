@@ -201,7 +201,8 @@ def is_pi_nonsingular(cob: Cobordism) -> tuple[bool, SimplicialCone | None]:
 
 
 def _projected_face(cone: SimplicialCone, dropped: Vec) -> SimplicialCone:
-    return SimplicialCone(
+    # dropping a circuit ray leaves rays with independent projections
+    return SimplicialCone._face(
         tuple(primitive(base_part(r)) for r in cone.rays if r != dropped)
     )
 

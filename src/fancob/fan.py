@@ -81,12 +81,14 @@ class SimplicialCone:
 
     @classmethod
     def _face(cls, rays: tuple[Vec, ...]) -> "SimplicialCone":
-        """The face of a known cone on rays, a subsequence of that cone's
-        (sorted) rays.  Such rays are sorted, primitive, distinct and
-        independent already, so only emptiness is checked; the value, hash
-        and repr are those of SimplicialCone(rays)."""
+        """The cone on integer rays its caller has proved primitive,
+        distinct and linearly independent (each call site says why), such
+        as a face of a known cone.  Only emptiness is checked and the rays
+        are sorted; the value, hash and repr are those of
+        SimplicialCone(rays)."""
         if not rays:
             raise ValueError("a cone needs at least one ray")
+        rays = tuple(sorted(rays))
         cone = object.__new__(cls)
         object.__setattr__(cone, "rays", rays)
         object.__setattr__(cone, "_hash", hash((rays,)))
@@ -341,10 +343,15 @@ def validate_fan(fan: Fan) -> ValidationReport:
 
 def minimal_containing_cone(fan: Fan, point) -> SimplicialCone:
     """The unique face of the fan holding the point in its relative interior."""
-    point = tuple(point)
-    for cone in fan.max_cones:
+    return _locate(fan.max_cones, tuple(point))
+
+
+def _locate(cones, point) -> SimplicialCone:
+    """minimal_containing_cone on the maximal cones of a fan, in fan order."""
+    for cone in cones:
         rays = _positive_rays(cone, point)
         if rays is not None:
+            # a subset of the cone's rays
             return SimplicialCone._face(rays)
     raise NotInSupport(f"{point} is outside the fan's support")
 
@@ -361,26 +368,29 @@ def star_subdivide(fan: Fan, center) -> Fan:
         raise ValueError(f"subdivision center {center} must be primitive")
     if center in fan.rays:
         return fan
-    return _split_at(fan, center, minimal_containing_cone(fan, center))[0]
+    cones = list(fan.max_cones)
+    _split_at(cones, center, minimal_containing_cone(fan, center))
+    return Fan(fan.ambient_dim, tuple(cones))
 
 
-def _split_at(fan: Fan, center: Vec, tau: SimplicialCone) -> tuple[Fan, list[SimplicialCone]]:
-    """star_subdivide at a primitive center that is no ray of the fan, with
-    tau = minimal_containing_cone(fan, center) already located, and the
-    star it split (the maximal cones holding tau)."""
+def _split_at(
+    cones: list[SimplicialCone], center: Vec, tau: SimplicialCone
+) -> list[SimplicialCone]:
+    """star_subdivide, in place, on the maximal cones of a fan in fan order
+    (sorted by rays), at a primitive center that is no ray of theirs, with
+    tau = minimal_containing_cone already located.  The cones stay in fan
+    order; returns the star it split (the maximal cones holding tau)."""
     tau_rays = set(tau.rays)
-    new_cones: list[SimplicialCone] = []
-    star = []
-    for sigma in fan.max_cones:
-        if tau_rays <= set(sigma.rays):
-            star.append(sigma)
-            for w in tau.rays:
-                new_cones.append(
-                    SimplicialCone((center,) + tuple(r for r in sigma.rays if r != w))
-                )
-        else:
-            new_cones.append(sigma)
-    return Fan(fan.ambient_dim, tuple(new_cones)), star
+    star = [sigma for sigma in cones if tau_rays.issubset(sigma.rays)]
+    # the center has a positive coefficient on w, so it lies off
+    # span(sigma - w): each join is primitive, distinct and independent
+    joins = [
+        SimplicialCone._face((center,) + tuple(r for r in sigma.rays if r != w))
+        for sigma in star for w in tau.rays
+    ]
+    split = set(star)
+    cones[:] = sorted([c for c in cones if c not in split] + joins, key=lambda c: c.rays)
+    return star
 
 
 def fans_equal(a: Fan, b: Fan) -> bool:

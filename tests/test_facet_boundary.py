@@ -7,6 +7,8 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
+import operator
 import random
 
 import pytest
@@ -24,10 +26,10 @@ from fancob.cobordism import (
     cobordism_to_doc,
     validate_cobordism,
 )
-from fancob.collapse import is_pi_nonsingular
+from fancob.collapse import extract_factorization, is_pi_nonsingular
 from fancob.demos import karu_counterexample, noncollapsible_example
-from fancob.errors import DependentInput, InvalidFan
-from fancob.exact import det, kernel_relation, maximal_minor_gcd, primitive, rank
+from fancob.errors import DegenerateHeights, DependentInput, InvalidFan
+from fancob.exact import det, kernel_relation, maximal_minor_gcd, primitive, rank, solve_in_span
 from fancob.fan import Fan, SimplicialCone, star_subdivide, validate_fan
 from conftest import FIXTURES, KARU_CENTERS, orthant_fan, random_center_sequence
 
@@ -125,6 +127,64 @@ def random_basis(rng: random.Random, d: int) -> list:
         basis = [tuple(rng.randint(-2, 2) for _ in range(d)) for _ in range(d)]
         if abs(det(basis)) in (2, 3):
             return basis
+
+
+def random_lift_case(rng: random.Random, d: int) -> dict:
+    """A build for the lift-by-construction tests: a fan of coordinate cones
+    of mixed dimensions (signed unit vectors on distinct axes; any such set
+    without nested cones is a valid fan, often an impure one), moved by a
+    matrix of determinant +-2 or +-3 in about half the cases; up to four
+    centers, each a primitive positive combination of a face's rays with
+    coefficients 1..3; each height the least integer above the running
+    graph sheet at the center, or one above the last height if that is
+    larger.  Besides the inputs, records the subdivided fan, the graph
+    height at each center and whether the center is a face barycenter."""
+    basis = random_basis(rng, d) if rng.random() < 0.5 else None
+    cones = set()
+    for _ in range(rng.randint(1, 4)):
+        axes = rng.sample(range(d), rng.randint(2, d))
+        cones.add(frozenset((i, rng.choice((1, -1))) for i in axes))
+    rays = []
+    for cone in cones:
+        if not any(cone < other for other in cones):
+            units = [tuple(s if j == i else 0 for j in range(d)) for i, s in cone]
+            rays.append(tuple(_apply(basis, u) if basis else u for u in units))
+    fan = current = Fan(d, tuple(SimplicialCone(r) for r in rays))
+    height = {r: 0 for r in fan.rays}
+    centers, heights, sheets, barycentric = [], [], [], []
+    for _ in range(rng.randint(1, 4)):
+        cone = rng.choice(current.max_cones)
+        face = rng.sample(cone.rays, rng.randint(2, cone.dim))
+        coef = [rng.randint(1, 3) for _ in face]
+        center = primitive(tuple(sum(map(operator.mul, coef, col)) for col in zip(*face)))
+        if center in height:
+            continue
+        tau = fanmod.minimal_containing_cone(current, center).rays
+        sheet = sum(l * height[r] for l, r in zip(solve_in_span(tau, center), tau))
+        h = max(math.floor(sheet) + 1, heights[-1] + 1 if heights else 1)
+        barycentric.append(center == primitive(tuple(map(sum, zip(*face)))))
+        centers.append(center)
+        heights.append(h)
+        sheets.append(sheet)
+        height[center] = h
+        current = star_subdivide(current, center)
+    return dict(fan=fan, centers=centers, heights=heights, final=current,
+                sheets=sheets, barycentric=barycentric)
+
+
+def oracle_lifted_fan(delta: Fan, centers, heights) -> Fan:
+    """The lifted fan build_cobordism records, rebuilt step by step with
+    the public, fully checked constructors."""
+    current, height, lifted = delta, {r: 0 for r in delta.rays}, []
+    for c, h in zip(centers, heights):
+        tau = set(fanmod.minimal_containing_cone(current, c).rays)
+        lifted += [SimplicialCone(tuple(r + (height[r],) for r in s.rays) + (c + (h,),))
+                   for s in current.max_cones if tau <= set(s.rays)]
+        current = star_subdivide(current, c)
+        height[c] = h
+    lifted += [SimplicialCone(tuple(r + (0,) for r in s.rays))
+               for s in current.max_cones if s in delta.max_cones]
+    return Fan(delta.ambient_dim + 1, tuple(lifted))
 
 
 def fixture_cobordisms() -> list[Cobordism]:
@@ -332,9 +392,10 @@ class TestUpstairsValidation:
         assert not validate_cobordism(Cobordism.from_fan(overlap, 3)).ok
         assert validate_fan_calls == [overlap]
 
-    def test_build_validates_the_lifted_fan_once(self, validate_fan_calls):
-        cob = build_cobordism(orthant_fan(), KARU_CENTERS)
-        assert validate_fan_calls == [orthant_fan(), cob.fan]
+    def test_build_validates_the_input_fan_only(self, validate_fan_calls):
+        # the lifted fan is valid by construction (build_cobordism's proof)
+        build_cobordism(orthant_fan(), KARU_CENTERS)
+        assert validate_fan_calls == [orthant_fan()]
 
 
 class TestProvedBuild:
@@ -373,6 +434,80 @@ class TestProvedBuild:
         report = validate_cobordism(Cobordism.from_fan(lifted, 2), overlap, overlap)
         assert not report.ok
         assert str(exc.value) == f"constructed cobordism failed validation:\n{report}"
+        # with centers, one in the overlap: the report is the full check's
+        # on the lifted fan the construction records
+        wedge = Fan(3, (SimplicialCone(((1, 0, 0), (0, 1, 0), (0, 0, 1))),
+                        SimplicialCone(((1, 1, 0), (-1, 1, 0), (0, 0, 1)))))
+        assert not validate_fan(wedge).ok
+        for centers in ([(1, 2, 1)], [(0, 1, 1), (1, 3, 2)], [(-1, 2, 1), (1, 0, 1)]):
+            final = wedge
+            for c in centers:
+                final = star_subdivide(final, c)
+            heights = [1 + 4 * t for t in range(len(centers))]
+            lifted = oracle_lifted_fan(wedge, centers, heights)
+            report = validate_cobordism(Cobordism.from_fan(lifted, 3), wedge, final)
+            with pytest.raises(InvalidFan) as exc:
+                build_cobordism(wedge, centers, heights)
+            assert str(exc.value) == f"constructed cobordism failed validation:\n{report}"
+
+
+class TestLiftByConstruction:
+    """build_cobordism runs no validate_fan on the lifted fan, which its
+    docstring proves valid.  Differential check of that proof, and of the
+    unchecked SimplicialCone._face on every cone built, against the full
+    checks."""
+
+    @pytest.fixture(scope="class")
+    def corpus(self) -> list[dict]:
+        rng = random.Random(670)
+        return [random_lift_case(rng, d) for d in (2, 3, 4) for _ in range(110)]
+
+    def test_corpus_reaches_the_hard_cases(self, corpus):
+        impure = sum(len({c.dim for c in case["fan"].max_cones}) > 1 for case in corpus)
+        lattice = sum(any(maximal_minor_gcd(c.rays) > 1 for c in case["fan"].max_cones)
+                      for case in corpus)
+        steps = [(s, h, b) for case in corpus
+                 for s, h, b in zip(case["sheets"], case["heights"], case["barycentric"])]
+        tight = sum(s > 0 and h == math.floor(s) + 1 for s, h, _ in steps)
+        off_center = sum(not b for _, _, b in steps)
+        assert len(corpus) >= 300
+        assert min(impure, lattice, tight, off_center) >= 60, (impure, lattice, tight, off_center)
+
+    def test_builds_pass_the_full_checks(self, corpus, monkeypatch):
+        built = []
+        real = SimplicialCone._face.__func__
+
+        def recording(cls, rays):
+            cone = real(cls, rays)
+            built.append((rays, cone))
+            return cone
+
+        monkeypatch.setattr(SimplicialCone, "_face", classmethod(recording))
+        for case in corpus:
+            fan, centers, heights = case["fan"], case["centers"], case["heights"]
+            cob = build_cobordism(fan, centers, heights)
+            assert cob.fan == oracle_lifted_fan(fan, centers, heights)
+            assert validate_fan(cob.fan).ok, (fan, centers, heights)
+            assert validate_cobordism(cob, fan, case["final"]).ok, (fan, centers, heights)
+            steps = extract_factorization(cob)
+            assert [s.center for s in steps] == centers
+        assert len(built) >= 5000, len(built)
+        for rays, cone in built:
+            full = SimplicialCone(rays)
+            assert cone == full and hash(cone) == hash(full), rays
+
+    def test_heights_on_the_graph_sheet_are_refused(self, corpus):
+        refused = 0
+        for case in corpus:
+            for t, sheet in enumerate(case["sheets"]):
+                last = case["heights"][t - 1] if t else 0
+                if sheet != int(sheet) or sheet <= last:
+                    continue
+                with pytest.raises(DegenerateHeights):
+                    build_cobordism(case["fan"], case["centers"][: t + 1],
+                                    case["heights"][:t] + [int(sheet)])
+                refused += 1
+        assert refused >= 60, refused
 
 
 class TestMaximalFaceSmoothness:
