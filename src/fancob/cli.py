@@ -88,6 +88,8 @@ def parse_centers(text: str, dim: int):
         vec = tuple(int(x) for x in m.group(1).split(","))
         if len(vec) != dim:
             raise ParseError(f"center {vec} has dimension {len(vec)}, fan has {dim}")
+        if not any(vec):
+            raise ParseError(f"center {vec} is the zero vector")
         centers.append(vec)
     return centers
 

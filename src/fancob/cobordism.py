@@ -3,10 +3,10 @@
 A cobordism lives one dimension up: rays carry a height coordinate, and the
 projection drops it.  A maximal cone whose projected rays are dependent has a
 unique minimal dependent subset (its circuit); the dependency is the
-coefficient vector of the height direction in the cone's rays, read off its
-facet normals.  Its signs split the circuit rays into positive and negative
-ones and drive everything downstream (pointing classification, the lower
-and upper boundary, collapsibility, factorization).
+coefficient vector of the height direction in the cone's rays, read off the
+dual basis of its rays.  Its signs split the circuit rays into positive and
+negative ones and drive everything downstream (pointing classification, the
+lower and upper boundary, collapsibility, factorization).
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from __future__ import annotations
 import enum
 import operator
 from dataclasses import dataclass
-from math import lcm
 from operator import mul
 
 from .errors import (
@@ -84,16 +83,14 @@ def circuit_of(cone: SimplicialCone) -> Circuit | None:
     A relation sum r_i pi(v_i) = 0 of the projected rays lifts to
     sum r_i v_i = (sum r_i h_i) e, e = e_{d+1}, so the relation exists iff e
     is in span(cone) (no _span_equalities row has a nonzero last entry) and
-    is then the coefficient vector of e.  The facet normal w_i of v_i pairs
-    with v_i alone, so that coefficient is w_i[-1] / <w_i, v_i>.  The result
-    is checked exactly: it maps the rays to a positive multiple of e.
+    is then the coefficient vector of e.  The dual basis row n_i of v_i
+    (fan._cone_solver) pairs to the same D > 0 with v_i and to 0 with every
+    other ray, so that coefficient is n_i[-1] / D.  The result is checked
+    exactly: it maps the rays to a positive multiple of e.
     """
     if cone.dim < cone.ambient_dim and any(y[-1] for y in fanmod._span_equalities(cone)):
         return None
-    normals = fanmod._facet_normals(cone)
-    pairings = [sum(map(mul, w, v)) for w, v in zip(normals, cone.rays)]
-    scale = lcm(*pairings)
-    rel = primitive([w[-1] * (scale // p) for w, p in zip(normals, pairings)])
+    rel = primitive([n[-1] for n in fanmod._cone_solver(cone)])
     image = [sum(map(mul, rel, column)) for column in zip(*cone.rays)]
     if any(image[:-1]) or image[-1] <= 0:
         raise AssertionFailed(f"relation {rel} maps the rays of {cone} to {image}, not to e")

@@ -11,6 +11,7 @@ blowup/blowdown factorization.
 from __future__ import annotations
 
 import enum
+import heapq
 import itertools
 from dataclasses import dataclass, field
 
@@ -153,16 +154,17 @@ def _collapse_order(graph: CollapseGraph) -> tuple[bool, tuple[CircuitKey, ...]]
     indeg = {n: 0 for n in graph.nodes}
     for _, b in graph.edges:
         indeg[b] += 1
-    ready = sorted((n for n, d in indeg.items() if d == 0), key=level)
+    # level ends in the unique key, so the heap pops in level order
+    ready = [(level(n), n) for n, d in indeg.items() if d == 0]
+    heapq.heapify(ready)
     order: list[CircuitKey] = []
     while ready:
-        n = ready.pop(0)
+        _, n = heapq.heappop(ready)
         order.append(n)
         for b in graph.successors(n):
             indeg[b] -= 1
             if indeg[b] == 0:
-                ready.append(b)
-        ready.sort(key=level)
+                heapq.heappush(ready, (level(b), b))
     if len(order) == len(graph.nodes):
         return True, tuple(order)
     remaining = {n for n in graph.nodes if n not in set(order)}

@@ -5,6 +5,14 @@ order, fans store their maximal cones sorted, so equality and hashing are
 structural and deterministic.  Faces of a simplicial cone are never stored:
 every subset of the rays spans one.
 
+Each cone has one exact elimination (_cone_solver): the dual basis of its
+rays within their span, row n_i pairing to the same D > 0 with ray i and to
+0 with every other ray.  A point of the span has coordinate <n_i, x> / D on
+ray i, so membership (_positive_rays), the first-order nudge of the support
+test (_stays_inside) and the facet normals (_facet_normals, the primitive
+rows) are sign tests on its rows, after the span equalities
+(_span_equalities) vanish on the point.
+
 Support containment is decided by one exact, polynomial facet-crossing test
 (covered_by_fan): a cone lies in the support of a valid fan iff its
 full-dimensional pieces cut by the fan's cones exist and every interior
@@ -38,11 +46,10 @@ from .exact import (
     dot,
     is_primitive,
     maximal_minor_gcd,
-    nonneg_combination,
+    nonneg_combination,  # unused here; bench/selfcheck.py reads fan.nonneg_combination
     nullspace_basis,
     primitive,
     rank,
-    solve_in_span,
     vec_sub,
 )
 
@@ -173,38 +180,36 @@ def _span_equalities(cone: SimplicialCone) -> tuple[Vec, ...]:
 
 
 @lru_cache(maxsize=_GEOMETRY_CACHE_SIZE)
-def _cone_solver(cone: SimplicialCone):
-    """Integer solver for full-dimensional cones: with (N, D) = (D * M^-1, D)
-    for the generator matrix M, the coordinates of x in the generator basis
-    are (N @ x) / D.  None for lower-dimensional cones."""
-    d = cone.ambient_dim
-    if cone.dim != d:
-        return None
-    return _scaled_inverse([[r[i] for r in cone.rays] for i in range(d)])
+def _cone_solver(cone: SimplicialCone) -> tuple[Vec, ...]:
+    """The dual basis of the rays within their span: row n_i pairs to D > 0
+    with ray i and to 0 with every other ray, so a point x of span(cone) has
+    coordinate <n_i, x> / D on ray i.
+
+    With (N, D) = (D * A^-1, D) from one reduction, the rows are those of N
+    for the generator matrix A = M of a full-dimensional cone, and
+    sum_j N_ij v_j for the Gram matrix A = G of a lower-dimensional one.
+    Rows are negated when D < 0.  The pairings are checked exactly.
+    """
+    v = cone.rays
+    if cone.dim == cone.ambient_dim:
+        inv, d = _scaled_inverse([[r[i] for r in v] for i in range(cone.dim)])
+    else:
+        inv, d = _scaled_inverse([[dot(a, b) for b in v] for a in v])
+        inv = [[sum(map(mul, row, col)) for col in zip(*v)] for row in inv]
+    if d < 0:
+        d, inv = -d, [[-x for x in row] for row in inv]
+    rows = tuple(map(tuple, inv))
+    for i, n in enumerate(rows):
+        if d <= 0 or any(sum(map(mul, n, r)) != (d if i == j else 0) for j, r in enumerate(v)):
+            raise AssertionFailed(f"dual row {n} of {cone} does not pair with ray {i} alone")
+    return rows
 
 
 @lru_cache(maxsize=_GEOMETRY_CACHE_SIZE)
 def _facet_normals(cone: SimplicialCone) -> tuple[Vec, ...]:
-    """Inward facet normals within the span, one per ray.
-
-    With (N, D) = (D * G^-1, D) for the Gram matrix G of the rays, the vector
-    sum_j N_ij v_j pairs to D with ray i and to 0 with every other ray, so on
-    span(cone) the normals cut out exactly the cone.  G is positive definite,
-    so its reduction swaps no rows and D = det(G) > 0.
-    """
-    v = cone.rays
-    inv, _ = _scaled_inverse([[dot(a, b) for b in v] for a in v])
-    out = []
-    for row in inv:
-        w = [0] * cone.ambient_dim
-        for n, ray in zip(row, v):
-            if n:
-                w = [x + n * y for x, y in zip(w, ray)]
-        out.append(primitive(w))
-    for i, w in enumerate(out):
-        if dot(w, v[i]) <= 0 or any(dot(w, r) for j, r in enumerate(v) if j != i):
-            raise AssertionFailed(f"facet normal {w} of {cone} does not pair with ray {i} alone")
-    return tuple(out)
+    """Inward facet normals within the span, one per ray: the primitive dual
+    basis rows, so on span(cone) the normals cut out exactly the cone."""
+    return tuple(primitive(n) for n in _cone_solver(cone))
 
 
 def _cut(gens: list[Vec], normal: Vec, equation: bool = False) -> list[Vec]:
@@ -273,22 +278,17 @@ def _positive_rays(cone: SimplicialCone, p) -> tuple[Vec, ...] | None:
     """The rays with a positive coefficient in the point's (unique) expansion
     in the cone's generators, or None when the point lies outside the cone.
 
-    Full-dimensional cones use the integer solver: with (N, D) from
-    _cone_solver the coefficients are (N @ p) / D, so only signs of integer
+    The point must lie in the span, and then its coefficients are the
+    pairings with the _cone_solver rows over D > 0, so only signs of integer
     (or, for Fraction points, rational) dot products are needed.
     """
     if len(p) != cone.ambient_dim:
         raise DimensionMismatch(f"point dim {len(p)} != cone ambient dim {cone.ambient_dim}")
-    solver = _cone_solver(cone)
-    if solver is None:
-        lam = nonneg_combination(cone.rays, p)
-        if lam is None:
-            return None
-        return tuple(r for r, l in zip(cone.rays, lam) if l > 0)
-    inv, d = solver
+    if cone.dim < cone.ambient_dim and any(sum(map(mul, y, p)) for y in _span_equalities(cone)):
+        return None
     out = []
-    for row, ray in zip(inv, cone.rays):
-        s = sum(n * x for n, x in zip(row, p)) * d
+    for n, ray in zip(_cone_solver(cone), cone.rays):
+        s = sum(map(mul, n, p))
         if s < 0:
             return None
         if s > 0:
@@ -405,33 +405,17 @@ def _stays_inside(cone: SimplicialCone, point: Vec, direction: Vec) -> bool:
     """Is point + t*direction in the cone for all sufficiently small t > 0?
 
     Membership coefficients are affine in t; the test is first-order exact:
-    each coefficient must be positive at t=0, or zero with nonnegative slope,
-    and both point and direction must lie in the cone's span.
+    both point and direction must lie in the cone's span, and each
+    coefficient must be positive at t=0, or zero with nonnegative slope.
     """
-    solver = _cone_solver(cone)
-    if solver is not None:
-        # full-dimensional cone: integer coordinates scaled by D
-        inv, d = solver
-        for row in inv:
-            sp = sum(r * x for r, x in zip(row, point))
-            if sp * d > 0:
-                continue
-            if sp == 0 and sum(r * x for r, x in zip(row, direction)) * d >= 0:
-                continue
+    if cone.dim < cone.ambient_dim and any(
+        sum(map(mul, y, point)) or sum(map(mul, y, direction)) for y in _span_equalities(cone)
+    ):
+        return False
+    for n in _cone_solver(cone):
+        sp = sum(map(mul, n, point))
+        if sp < 0 or (sp == 0 and sum(map(mul, n, direction)) < 0):
             return False
-        return True
-    lam_p = solve_in_span(cone.rays, point)
-    if lam_p is None:
-        return False
-    lam_d = solve_in_span(cone.rays, direction)
-    if lam_d is None:
-        return False
-    for lp, ld in zip(lam_p, lam_d):
-        if lp > 0:
-            continue
-        if lp == 0 and ld >= 0:
-            continue
-        return False
     return True
 
 

@@ -228,6 +228,21 @@ class TestBuild:
         assert code == 2
         assert "dimension" in err
 
+    def test_zero_center_is_input_error(self, capsys, tmp_path):
+        out_path = tmp_path / "x.cob"
+        code, out, err = run(
+            capsys,
+            "build",
+            str(FIXTURES / "cone3.fan"),
+            "--centers",
+            "(1,1,0);(0,0,0)",
+            "--out",
+            str(out_path),
+        )
+        assert code == 2
+        assert "zero vector" in err and not out
+        assert not out_path.exists()
+
     def test_center_outside_support(self, capsys, tmp_path):
         code, _, err = run(
             capsys,

@@ -354,24 +354,31 @@ class TestInvariantChecks:
 
     def test_facet_normal_pairing_check(self, monkeypatch):
         cone = SimplicialCone(((1, 0, 0), (0, 1, 0)))
-        fan._facet_normals.cache_clear()
+        caches = (fan._cone_solver, fan._facet_normals)
+        for cache in caches:
+            cache.cache_clear()
         monkeypatch.setattr(fan, "_scaled_inverse", lambda m: ([[1] * len(m)] * len(m), 1))
         try:
             with pytest.raises(AssertionFailed):
                 fan._facet_normals(cone)
         finally:
-            fan._facet_normals.cache_clear()
+            for cache in caches:
+                cache.cache_clear()
 
     def test_height_pairing_check(self, monkeypatch):
-        # the real normals ((0, 1, -1), (1, 0, -1), (0, 0, 1)) give e = v3 - v1 - v2
+        # the real dual rows ((0, 1, -1), (1, 0, -1), (0, 0, 1)) give e = v3 - v1 - v2
         cone = SimplicialCone(((0, 1, 0), (1, 0, 0), (1, 1, 1)))
-        for normals in (
-            ((0, 1, 1), (1, 0, 1), (2, 0, -1)),  # relation (1, 1, -1): pairs to -1 with the heights
-            ((0, 1, 1), (1, 0, -1), (0, 0, 1)),  # relation (1, -1, 1): projects to (0, 2), not 0
+        assert fan._cone_solver(cone) == ((0, 1, -1), (1, 0, -1), (0, 0, 1))
+        for rows, relation, image in (
+            # pairs to -1 with the heights
+            (((0, 1, 1), (1, 0, 1), (2, 0, -1)), (1, 1, -1), [0, 0, -1]),
+            # projects to (0, 2), not 0
+            (((0, 1, 1), (1, 0, -1), (0, 0, 1)), (1, -1, 1), [0, 2, 1]),
         ):
-            monkeypatch.setattr(fan, "_facet_normals", lambda c: normals)
-            with pytest.raises(AssertionFailed):
+            monkeypatch.setattr(fan, "_cone_solver", lambda c: rows)
+            with pytest.raises(AssertionFailed) as failed:
                 cobordism.circuit_of(cone)
+            assert str(failed.value) == f"relation {relation} maps the rays of {cone} to {image}, not to e"
 
     def test_circuit_sign_partition_check(self, monkeypatch):
         key = ((0, 1, 0), (1, 0, 0), (1, 1, 1))

@@ -10,7 +10,7 @@ import pytest
 
 from fancob import fan as fanmod
 from fancob.errors import DependentInput, DimensionMismatch, NotInSupport, ParseError, ZeroVector
-from fancob.exact import nonneg_combination, primitive
+from fancob.exact import _scaled_inverse, dot, nonneg_combination, primitive, solve_in_span
 from fancob.fan import (
     Fan,
     RayNormalized,
@@ -20,6 +20,7 @@ from fancob.fan import (
     _pair_problem,
     _positive_rays,
     _separating_zeros,
+    _stays_inside,
     cone_contains,
     covered_by_fan,
     fan_from_doc,
@@ -42,6 +43,30 @@ def p2_fan():
         SimplicialCone(((0, 1), (-1, -1))),
         SimplicialCone(((-1, -1), (1, 0))),
     ))
+
+
+def _stays_inside_oracle(cone, point, direction):
+    """_stays_inside from the Fraction coordinates of point and direction."""
+    lam_p = solve_in_span(cone.rays, point)
+    lam_d = solve_in_span(cone.rays, direction)
+    if lam_p is None or lam_d is None:
+        return False
+    return all(lp > 0 or (lp == 0 and ld >= 0) for lp, ld in zip(lam_p, lam_d))
+
+
+def _gram_facet_normals(cone):
+    """Facet normals from the Gram matrix G of the rays: with (N, D) =
+    (D * G^-1, D), the vector sum_j N_ij v_j pairs to D > 0 with ray i and
+    to 0 with every other ray."""
+    v = cone.rays
+    inv, _ = _scaled_inverse([[dot(a, b) for b in v] for a in v])
+    out = []
+    for row in inv:
+        w = [0] * cone.ambient_dim
+        for n, ray in zip(row, v):
+            w = [x + n * y for x, y in zip(w, ray)]
+        out.append(primitive(w))
+    return tuple(out)
 
 
 class TestSimplicialCone:
@@ -123,20 +148,25 @@ class TestConeContains:
 
 
     def test_integer_solver_agrees_with_fraction_solve(self):
-        # full-dimensional cones take the integer path, lower-dimensional ones
-        # nonneg_combination; both must give the oracle's positive rays
+        # every cone reads its coefficients off the _cone_solver rows; they
+        # must give the oracle's positive rays, and _stays_inside must agree
+        # with the Fraction coordinates of point and direction
         rng = random.Random(13)
         cones = 0
-        while cones < 300:
-            d = rng.randint(2, 4)
+        kinds = {"full": 0, "lower": 0, "off_span": 0, "face_stays": 0, "face_leaves": 0}
+        while cones < 400:
+            d = rng.randint(1, 5)
             rays = {primitive(v) for v in (
                 tuple(rng.randint(-3, 3) for _ in range(d)) for _ in range(rng.randint(1, d))
             ) if any(v)}
+            if not rays:
+                continue
             try:
                 cone = SimplicialCone(tuple(rays))
             except DependentInput:
                 continue
             cones += 1
+            kinds["full" if cone.dim == d else "lower"] += 1
             for _ in range(6):
                 lam = [rng.choice((0, 0, 1, 2, -1)) for _ in cone.rays]
                 p = tuple(sum(l * r[i] for l, r in zip(lam, cone.rays)) for i in range(d))
@@ -151,6 +181,33 @@ class TestConeContains:
                     if want:
                         found = minimal_containing_cone(Fan(d, (cone,)), q)
                         assert found == SimplicialCone(want)
+                    mu = [rng.choice((0, 1, -1, 2, -3)) for _ in cone.rays]
+                    u = tuple(sum(m * r[i] for m, r in zip(mu, cone.rays)) for i in range(d))
+                    for v in (u, tuple(-x for x in u), tuple(rng.randint(-2, 2) for _ in range(d))):
+                        inside = _stays_inside(cone, q, v)
+                        assert inside == _stays_inside_oracle(cone, q, v), (cone, q, v)
+                        if solve_in_span(cone.rays, q) is None:
+                            kinds["off_span"] += 1
+                        elif want is not None and len(want) < cone.dim:
+                            kinds["face_stays" if inside else "face_leaves"] += 1
+        assert min(kinds.values()) >= 100, kinds
+
+    def test_facet_normals_match_gram_oracle(self):
+        rng = random.Random(15)
+        kinds = {"full": 0, "lower": 0}
+        while min(kinds.values()) < 150:
+            d = rng.randint(1, 5)
+            rays = {primitive(v) for v in (
+                tuple(rng.randint(-4, 4) for _ in range(d)) for _ in range(rng.randint(1, d))
+            ) if any(v)}
+            if not rays:
+                continue
+            try:
+                cone = SimplicialCone(tuple(rays))
+            except DependentInput:
+                continue
+            kinds["full" if cone.dim == d else "lower"] += 1
+            assert fanmod._facet_normals(cone) == _gram_facet_normals(cone), cone
 
     def test_dimension_mismatch(self):
         cone = SimplicialCone(((1, 0), (0, 1)))
