@@ -14,6 +14,7 @@ from __future__ import annotations
 import enum
 import operator
 from dataclasses import dataclass
+from fractions import Fraction
 from operator import mul
 
 from .errors import (
@@ -26,7 +27,7 @@ from .errors import (
     NotInSupport,
     ParseError,
 )
-from .exact import Vec, primitive, rank, solve_in_span
+from .exact import Vec, primitive, rank
 from . import fan as fanmod
 from .fan import Fan, SimplicialCone, ValidationReport, fan_from_doc, fan_to_doc
 
@@ -378,6 +379,16 @@ def build_cobordism(delta: Fan, centers, heights=None) -> Cobordism:
     find nothing.  Any other outcome raises validate_cobordism's report,
     which names every failed condition (an invalid input fan shows as the
     bottom's problems).
+
+    Each center is located by fan._locate in the running cones and their
+    ray index, which _split_at updates in place.  Once delta passes
+    validate_fan, every Delta_t is valid, so the face holding c_t in its
+    relative interior is unique and the walk from a cone holding c_{t-1}
+    finds the one the scan in fan order finds.  An invalid delta is located
+    by that scan alone, which fixes the lifted fan recorded for the report.
+    The located maximal cone sigma gives the graph height: c_t has
+    coordinate <n_i, c_t> / D on ray r_i of sigma (fan._cone_solver), so
+    g_t(c_t) = sum_i <n_i, c_t> height(r_i) / D, compared in integers.
     """
     centers = [primitive(tuple(operator.index(x) for x in c)) for c in centers]
     for c in centers:
@@ -395,46 +406,53 @@ def build_cobordism(delta: Fan, centers, heights=None) -> Cobordism:
     ):
         raise ValueError("heights must be positive and strictly increasing")
 
+    delta_ok = fanmod.validate_fan(delta).ok
     height_of: dict[Vec, int] = {r: 0 for r in delta.rays}
-    running = list(delta.max_cones)  # the running fan's cones, in fan order
+    running = fanmod._IndexedCones(delta.max_cones)  # the running fan's cones
+    start = None  # where the next point location walks from
     lifted: list[SimplicialCone] = []
     for center, h in zip(centers, heights):
         # height_of holds exactly the running fan's rays
         if center in height_of:
             raise CenterAlreadyRay(f"center {center} is already a ray")
         try:
-            tau = fanmod._locate(running, center)
+            tau, found, coords = fanmod._locate(running, center, start)
         except NotInSupport as exc:
             raise CenterNotInSupport(str(exc)) from exc
         # the lifted center must clear the running graph sheet, or the new
         # cones dip into the ones already recorded
-        lam = solve_in_span(tau.rays, center)
-        graph_height = sum(l * height_of[r] for l, r in zip(lam, tau.rays))
-        if h <= graph_height:
+        d = sum(map(mul, fanmod._cone_solver(found)[0], found.rays[0]))
+        sheet = sum(s * height_of[r] for s, r in zip(coords, found.rays))
+        if h * d <= sheet:
             raise DegenerateHeights(
                 f"center {center} lifts to height {h}, but the recorded fan "
-                f"sheet already sits at {graph_height} there; "
+                f"sheet already sits at {Fraction(sheet, d)} there; "
                 "choose strictly larger heights"
             )
         apex = center + (h,)
         for sigma in fanmod._split_at(running, center, tau):
-            # h > graph_height puts the lifted center off span lift(sigma)
+            # h > graph height puts the lifted center off span lift(sigma)
             gens = tuple(r + (height_of[r],) for r in sigma.rays) + (apex,)
             lifted.append(SimplicialCone._face(gens))
         height_of[center] = h
-    current = Fan(delta.ambient_dim, tuple(running))
+        if delta_ok:
+            # the running fans are valid too (see below), so fan._locate
+            # may walk, from a cone holding this center
+            start = next(iter(running.holders[center]))
+    # distinct cones of delta's dim: its own and the joins of _split_at
+    current = Fan._sorted(delta.ambient_dim, running.cones)
     original = set(delta.max_cones)
     lifted += [
         SimplicialCone._face(tuple(r + (0,) for r in c.rays))  # lifts independent rays
-        for c in running if c in original
+        for c in current.max_cones if c in original
     ]
 
     cob = Cobordism.from_fan(Fan(delta.ambient_dim + 1, tuple(lifted)), delta.ambient_dim)
     proved = (
-        fanmod.fans_equal(cob.bottom, delta)
+        delta_ok
+        and fanmod.fans_equal(cob.bottom, delta)
         and fanmod.fans_equal(cob.top, current)
         and not _cone_problems(cob)
-        and fanmod.validate_fan(delta).ok
     )
     if not proved:
         report = validate_cobordism(cob, expected_bottom=delta, expected_top=current)

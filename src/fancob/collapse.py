@@ -210,26 +210,21 @@ def _projected_face(cone: SimplicialCone, dropped: Vec) -> SimplicialCone:
 
 
 def _star_local_pairs(
-    upper: dict[SimplicialCone, set[Vec]],
-    cones: tuple[SimplicialCone, ...],
-    old: set[SimplicialCone],
+    fresh: dict[SimplicialCone, set[Vec]],
     holders: dict[Vec, set[SimplicialCone]],
-) -> list[tuple[int, int]]:
-    """The index pairs i < j of cones, sorted, that the star-local rule of
-    extract_factorization checks: each fresh cone (an upper cone outside the
-    old front) with every other fresh cone and with every old cone holding
-    a ray of pi(sigma) for a star cone sigma it comes from.  upper maps each
-    upper cone to those rays, holders each ray to the old cones holding it."""
-    index = {c: i for i, c in enumerate(cones)}
-    near = {index[u]: rays for u, rays in upper.items() if u not in old}
-    pairs = set(itertools.combinations(sorted(near), 2))
-    for i, rays in near.items():
+) -> list[tuple[SimplicialCone, SimplicialCone]]:
+    """The cone pairs (a, b) of a front, a before b in fan order, that the
+    star-local rule of extract_factorization checks, sorted as combinations
+    of the sorted front: each fresh cone with every other fresh cone and
+    with every cone holding a ray of pi(sigma) for a star cone sigma it
+    comes from.  fresh maps each fresh cone to those rays, holders each ray
+    to the front's cones holding it."""
+    pairs = set(itertools.combinations(fresh, 2))
+    for u, rays in fresh.items():
         for r in rays:
-            for c in holders.get(r, ()):
-                j = index.get(c)
-                if j is not None:
-                    pairs.add((min(i, j), max(i, j)))
-    return sorted(pairs)
+            pairs.update((u, c) for c in holders.get(r, ()) if c != u)
+    ordered = {(a, b) if a.rays < b.rays else (b, a) for a, b in pairs}
+    return sorted(ordered, key=lambda ab: (ab[0].rays, ab[1].rays))
 
 
 _STEP_KIND = {
@@ -272,18 +267,23 @@ def extract_factorization(cob: Cobordism, elide_identity: bool = False) -> list[
        and neither holds the other: _pair_problem(c, u) is None.  Old
        pairs passed at an earlier crossing.
 
-    The checked pairs keep combinations order, so a BrokenFan report is
-    exactly the one validate_fan gives for the new front.  A circuit with
-    no positive ray (degenerate, refused below after the check) keeps the
-    full pair check.
+    The front is one set of cones with its ray -> cones index
+    (fan._IndexedCones), kept across crossings: the lower cones leave, the
+    upper ones enter, and the index names the cones sharing a ray with
+    pi(sigma).  The checked pairs (a, b) are sorted by (a.rays, b.rays),
+    which is combinations order over the front in fan order, so a
+    BrokenFan report is exactly the one validate_fan gives for the new
+    front.  A circuit with no positive ray (degenerate, refused below after
+    the check) keeps the full pair check.  Each FactorStep.result is made
+    by the unchecked Fan._sorted, as the front is a set of cones of the
+    bottom's dimension.
     """
     graph = circuit_graph(cob)
     ok, witness = _collapse_order(graph)
     if not ok:
         raise NotCollapsible(f"circuit graph has the cycle {list(witness)}", witness)
-    front = cob.bottom
-    # ray -> cones of the last front that passed; None before the first crossing
-    holders: dict[Vec, set[SimplicialCone]] | None = None
+    front = fanmod._IndexedCones(cob.bottom.max_cones)
+    passed = False  # whether a front has passed its pair check
     steps: list[FactorStep] = []
     for key in witness:
         circ = graph.circuits[key]
@@ -295,36 +295,30 @@ def extract_factorization(cob: Cobordism, elide_identity: bool = False) -> list[
             rays = {primitive(base_part(r)) for r in cone.rays}
             for n in circ.neg:
                 upper.setdefault(_projected_face(cone, n), set()).update(rays)
-        old = set(front.max_cones)
-        missing = lower - old
+        missing = lower - front.cones
         if missing:
             raise FrontMismatch(
                 f"circuit {list(key)} expects front cones {sorted(c.rays for c in missing)}; "
                 "the cobordism is not sequential"
             )
-        new_front = Fan(front.ambient_dim, tuple((old - lower).union(upper)))
-        cones = new_front.max_cones
-        if holders is None or not circ.pos:
-            pairs = itertools.combinations(range(len(cones)), 2)
+        fresh = {u: rays for u, rays in upper.items() if u not in front.cones}
+        for c in lower:
+            front.remove(c)
+        for u in upper:
+            front.add(u)
+        if passed and circ.pos:
+            pairs = _star_local_pairs(fresh, front.holders)
         else:
-            pairs = _star_local_pairs(upper, cones, old, holders)
+            pairs = itertools.combinations(sorted(front.cones, key=fanmod._RAYS), 2)
         problems = []
-        for i, j in pairs:
-            problem = fanmod._pair_problem(cones[i], cones[j])
+        for a, b in pairs:
+            problem = fanmod._pair_problem(a, b)
             if problem is not None:
                 problems.append(problem)
         if problems:
             report = ValidationReport(tuple(problems))
             raise BrokenFan(f"front after crossing {list(key)} is invalid:\n{report}")
-        kept = set(cones)
-        if holders is None:
-            holders, old = {}, set()  # the first front that passed enters whole
-        for c in old - kept:
-            for r in c.rays:
-                holders[r].discard(c)
-        for c in kept - old:
-            for r in c.rays:
-                holders.setdefault(r, set()).add(c)
+        passed = True
         kind = _STEP_KIND.get(circuit_class(circ))
         if kind is None:
             raise InvalidFan(f"circuit {list(key)} is degenerate: its relation has one sign")
@@ -334,10 +328,11 @@ def extract_factorization(cob: Cobordism, elide_identity: bool = False) -> list[
             center = primitive(base_part(circ.neg[0]))
         else:
             center = None
-        front = new_front
         if not (elide_identity and kind is StepKind.IDENTITY):
-            steps.append(FactorStep(kind=kind, center=center, circuit=key, result=front))
-    if not fanmod.fans_equal(front, cob.top):
+            # distinct cones of the bottom's dim: its own and projected faces
+            result = Fan._sorted(cob.bottom.ambient_dim, front.cones)
+            steps.append(FactorStep(kind=kind, center=center, circuit=key, result=result))
+    if front.cones != set(cob.top.max_cones):
         raise FrontMismatch("final front does not equal the top fan")
     return steps
 

@@ -8,10 +8,15 @@ every subset of the rays spans one.
 Each cone has one exact elimination (_cone_solver): the dual basis of its
 rays within their span, row n_i pairing to the same D > 0 with ray i and to
 0 with every other ray.  A point of the span has coordinate <n_i, x> / D on
-ray i, so membership (_positive_rays), the first-order nudge of the support
+ray i, so membership (_coordinates), the first-order nudge of the support
 test (_stays_inside) and the facet normals (_facet_normals, the primitive
 rows) are sign tests on its rows, after the span equalities
 (_span_equalities) vanish on the point.
+
+Point location (_locate) walks across facets from a given cone through a
+ray -> cones index (_IndexedCones), stepping over the facet of a negative
+coordinate, and falls back to a scan in fan order; star subdivision
+(_split_at) reads its star off the same index.
 
 Support containment is decided by one exact, polynomial facet-crossing test
 (covered_by_fan): a cone lies in the support of a valid fan iff its
@@ -52,6 +57,9 @@ from .exact import (
     rank,
     vec_sub,
 )
+
+
+_RAYS = operator.attrgetter("rays")  # the sort key of fan order
 
 
 class RayNormalized(UserWarning):
@@ -134,13 +142,24 @@ class Fan:
     def __post_init__(self):
         if self.ambient_dim < 1:
             raise ValueError("ambient dimension must be positive")
-        cones = tuple(sorted(set(self.max_cones), key=lambda c: c.rays))
+        cones = tuple(sorted(set(self.max_cones), key=_RAYS))
         object.__setattr__(self, "max_cones", cones)
         for c in cones:
             if c.ambient_dim != self.ambient_dim:
                 raise DimensionMismatch(
                     f"cone {c} lives in dim {c.ambient_dim}, fan in {self.ambient_dim}"
                 )
+
+    @classmethod
+    def _sorted(cls, ambient_dim: int, cones) -> "Fan":
+        """The fan on distinct cones of ambient dimension ambient_dim >= 1,
+        which its caller has proved (each call site says why).  The cones
+        are only sorted into fan order; the value is that of
+        Fan(ambient_dim, cones)."""
+        fan = object.__new__(cls)
+        object.__setattr__(fan, "ambient_dim", ambient_dim)
+        object.__setattr__(fan, "max_cones", tuple(sorted(cones, key=_RAYS)))
+        return fan
 
     @property
     def rays(self) -> tuple[Vec, ...]:
@@ -274,26 +293,25 @@ def is_smooth(cone: SimplicialCone) -> bool:
     return maximal_minor_gcd(cone.rays) == 1
 
 
-def _positive_rays(cone: SimplicialCone, p) -> tuple[Vec, ...] | None:
-    """The rays with a positive coefficient in the point's (unique) expansion
-    in the cone's generators, or None when the point lies outside the cone.
-
-    The point must lie in the span, and then its coefficients are the
-    pairings with the _cone_solver rows over D > 0, so only signs of integer
-    (or, for Fraction points, rational) dot products are needed.
-    """
+def _coordinates(cone: SimplicialCone, p) -> tuple | None:
+    """The pairings <n_i, p> of a point with the _cone_solver rows, D times
+    its coordinates on the cone's rays, or None when the point lies off
+    span(cone).  Only signs of integer (or, for Fraction points, rational)
+    dot products decide membership from them."""
     if len(p) != cone.ambient_dim:
         raise DimensionMismatch(f"point dim {len(p)} != cone ambient dim {cone.ambient_dim}")
     if cone.dim < cone.ambient_dim and any(sum(map(mul, y, p)) for y in _span_equalities(cone)):
         return None
-    out = []
-    for n, ray in zip(_cone_solver(cone), cone.rays):
-        s = sum(map(mul, n, p))
-        if s < 0:
-            return None
-        if s > 0:
-            out.append(ray)
-    return tuple(out)
+    return tuple(sum(map(mul, n, p)) for n in _cone_solver(cone))
+
+
+def _positive_rays(cone: SimplicialCone, p) -> tuple[Vec, ...] | None:
+    """The rays with a positive coefficient in the point's (unique) expansion
+    in the cone's generators, or None when the point lies outside the cone."""
+    coords = _coordinates(cone, p)
+    if coords is None or min(coords) < 0:
+        return None
+    return tuple(r for r, s in zip(cone.rays, coords) if s > 0)
 
 
 def cone_contains(cone: SimplicialCone, p) -> bool:
@@ -341,19 +359,92 @@ def validate_fan(fan: Fan) -> ValidationReport:
     return ValidationReport(tuple(p for p in problems if p is not None))
 
 
+class _IndexedCones:
+    """A set of maximal cones and its ray -> cones index, updated together
+    in place: the running fan of build_cobordism and the front of
+    extract_factorization.  Fan order is restored only when a Fan is made
+    of them (Fan._sorted)."""
+
+    __slots__ = ("cones", "holders")
+
+    def __init__(self, cones):
+        self.cones: set[SimplicialCone] = set()
+        self.holders: dict[Vec, set[SimplicialCone]] = {}
+        for c in cones:
+            self.add(c)
+
+    def add(self, cone: SimplicialCone) -> None:
+        self.cones.add(cone)
+        for r in cone.rays:
+            self.holders.setdefault(r, set()).add(cone)
+
+    def remove(self, cone: SimplicialCone) -> None:
+        self.cones.remove(cone)
+        for r in cone.rays:
+            self.holders[r].discard(cone)
+
+    def holding(self, rays) -> set[SimplicialCone]:
+        """The cones holding every one of the (one or more) rays."""
+        first, *rest = (self.holders[r] for r in rays)
+        return first.intersection(*rest)
+
+
 def minimal_containing_cone(fan: Fan, point) -> SimplicialCone:
     """The unique face of the fan holding the point in its relative interior."""
-    return _locate(fan.max_cones, tuple(point))
+    return _locate(_IndexedCones(fan.max_cones), tuple(point))[0]
 
 
-def _locate(cones, point) -> SimplicialCone:
-    """minimal_containing_cone on the maximal cones of a fan, in fan order."""
-    for cone in cones:
-        rays = _positive_rays(cone, point)
-        if rays is not None:
-            # a subset of the cone's rays
-            return SimplicialCone._face(rays)
-    raise NotInSupport(f"{point} is outside the fan's support")
+def _locate(cones: _IndexedCones, point, start: SimplicialCone | None = None):
+    """minimal_containing_cone on indexed maximal cones: (tau, sigma,
+    coords), with tau the face holding the point in its relative interior,
+    sigma the maximal cone it was read off and coords the point's
+    _coordinates in sigma.
+
+    From a start cone, a visibility walk looks first (_walk); without one,
+    or when the walk gives up, the cones are scanned in fan order.  On a
+    valid fan the relative interiors of the faces are disjoint, so the face
+    on the positive coordinates of any maximal cone holding the point is
+    the same one, and the walk changes only the time.  On an invalid fan
+    that face can depend on the cone, so callers walk only on fans proved
+    valid, and the scan's first cone in fan order decides.
+    """
+    sigma, coords = _walk(cones, point, start) if start is not None else (None, None)
+    if sigma is None:
+        for sigma in sorted(cones.cones, key=_RAYS):
+            coords = _coordinates(sigma, point)
+            if coords is not None and min(coords) >= 0:
+                break
+        else:
+            raise NotInSupport(f"{point} is outside the fan's support")
+    # a subset of sigma's rays
+    tau = SimplicialCone._face(tuple(r for r, s in zip(sigma.rays, coords) if s > 0))
+    return tau, sigma, coords
+
+
+def _walk(cones: _IndexedCones, point, sigma: SimplicialCone):
+    """Visibility walk (Devillers-Pion-Teillaud, "Walking in a
+    triangulation", IJFCS 13, 2002) to a maximal cone holding the point:
+    (sigma, coords), or (None, None) when it gives up.
+
+    At a full-dimensional cone whose coordinate on ray i is negative, the
+    point lies beyond the facet opposite ray i, and the walk steps to the
+    one other cone holding that facet.  It gives up on a lower-dimensional
+    cone, at a facet no other cone holds, and after len(cones) steps, since
+    a visibility walk need not end on every triangulation.
+    """
+    for _ in range(len(cones.cones)):
+        if sigma.dim < max(sigma.ambient_dim, 2):
+            break  # no facet to cross (the facet of a ray is {0})
+        coords = _coordinates(sigma, point)
+        i = next((i for i, s in enumerate(coords) if s < 0), None)
+        if i is None:
+            return sigma, coords
+        across = cones.holding(sigma.rays[:i] + sigma.rays[i + 1:])
+        across.discard(sigma)
+        if len(across) != 1:
+            break
+        sigma = across.pop()
+    return None, None
 
 
 def star_subdivide(fan: Fan, center) -> Fan:
@@ -366,30 +457,30 @@ def star_subdivide(fan: Fan, center) -> Fan:
     center = tuple(operator.index(x) for x in center)
     if not is_primitive(center):
         raise ValueError(f"subdivision center {center} must be primitive")
-    if center in fan.rays:
+    cones = _IndexedCones(fan.max_cones)
+    if center in cones.holders:
         return fan
-    cones = list(fan.max_cones)
-    _split_at(cones, center, minimal_containing_cone(fan, center))
-    return Fan(fan.ambient_dim, tuple(cones))
+    _split_at(cones, center, _locate(cones, center)[0])
+    # distinct cones, and _locate has checked the center's dim
+    return Fan._sorted(fan.ambient_dim, cones.cones)
 
 
-def _split_at(
-    cones: list[SimplicialCone], center: Vec, tau: SimplicialCone
-) -> list[SimplicialCone]:
-    """star_subdivide, in place, on the maximal cones of a fan in fan order
-    (sorted by rays), at a primitive center that is no ray of theirs, with
-    tau = minimal_containing_cone already located.  The cones stay in fan
-    order; returns the star it split (the maximal cones holding tau)."""
-    tau_rays = set(tau.rays)
-    star = [sigma for sigma in cones if tau_rays.issubset(sigma.rays)]
-    # the center has a positive coefficient on w, so it lies off
-    # span(sigma - w): each join is primitive, distinct and independent
-    joins = [
-        SimplicialCone._face((center,) + tuple(r for r in sigma.rays if r != w))
-        for sigma in star for w in tau.rays
-    ]
-    split = set(star)
-    cones[:] = sorted([c for c in cones if c not in split] + joins, key=lambda c: c.rays)
+def _split_at(cones: _IndexedCones, center: Vec, tau: SimplicialCone) -> list[SimplicialCone]:
+    """star_subdivide, in place, on indexed maximal cones, at a primitive
+    center that is no ray of theirs, with tau = minimal_containing_cone
+    already located; returns the star it split in fan order.
+
+    The star, the cones holding every ray of tau, is the intersection of
+    the index sets of tau's rays: on any fan, valid or not, the cones a
+    scan would pick.  Their joins with the center replace them in the set
+    and the index."""
+    star = sorted(cones.holding(tau.rays), key=_RAYS)
+    for sigma in star:
+        cones.remove(sigma)
+        # the center has a positive coefficient on w, so it lies off
+        # span(sigma - w): each join is primitive, distinct and independent
+        for w in tau.rays:
+            cones.add(SimplicialCone._face((center,) + tuple(r for r in sigma.rays if r != w)))
     return star
 
 

@@ -38,6 +38,22 @@ def p2() -> Fan:
     return projective_plane_fan()
 
 
+def ring_chain(n: int) -> tuple[Fan, list]:
+    """A complete smooth plane fan with n cones, grown from the projective
+    plane by blowups of adjacent rays, and its 2n centers: a + b for every
+    cone (a, b), then the nested center a + (a + b) for each."""
+    rng = random.Random(0)
+    ring = [(1, 0), (0, 1), (-1, -1)]
+    while len(ring) < n:
+        i = rng.randrange(len(ring))
+        ring.insert(i + 1, tuple(x + y for x, y in zip(ring[i], ring[(i + 1) % len(ring)])))
+    pairs = [(ring[i], ring[(i + 1) % n]) for i in range(n)]
+    fan = Fan(2, tuple(SimplicialCone(p) for p in pairs))
+    mids = [tuple(x + y for x, y in zip(a, b)) for a, b in pairs]
+    nested = [tuple(2 * x + y for x, y in zip(a, b)) for a, b in pairs]
+    return fan, mids + nested
+
+
 def random_unimodular(rng: random.Random, size: int = 3, bound: int = 2):
     """Random integer matrix with determinant +-1, entries in [-bound, bound]."""
     while True:

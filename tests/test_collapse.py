@@ -26,7 +26,7 @@ from fancob.demos import karu_counterexample
 from fancob.errors import BrokenFan, FrontMismatch, InvalidFan, NotCollapsible
 from fancob.exact import primitive
 from fancob.fan import Fan, SimplicialCone, fans_equal, is_smooth, star_subdivide, validate_fan
-from conftest import orthant_fan, random_center_sequence, random_smooth_fan
+from conftest import orthant_fan, random_center_sequence, random_smooth_fan, ring_chain
 from test_facet_boundary import _orthant, fixture_cobordisms, random_build
 
 D1 = tuple(sorted([(1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 1)]))
@@ -212,19 +212,8 @@ class TestExtractFactorization:
 
 
 def ring_cobordism(n: int) -> Cobordism:
-    """A complete smooth plane fan with n cones, grown from the projective
-    plane by blowups of adjacent rays, and its 2n centers: a + b for every
-    cone (a, b), then the nested center a + (a + b) for each."""
-    rng = random.Random(0)
-    ring = [(1, 0), (0, 1), (-1, -1)]
-    while len(ring) < n:
-        i = rng.randrange(len(ring))
-        ring.insert(i + 1, tuple(x + y for x, y in zip(ring[i], ring[(i + 1) % len(ring)])))
-    pairs = [(ring[i], ring[(i + 1) % n]) for i in range(n)]
-    fan = Fan(2, tuple(SimplicialCone(p) for p in pairs))
-    mids = [tuple(x + y for x, y in zip(a, b)) for a, b in pairs]
-    nested = [tuple(2 * x + y for x, y in zip(a, b)) for a, b in pairs]
-    return build_cobordism(fan, mids + nested)
+    """The build of the ring chain with n cones and 2n centers."""
+    return build_cobordism(*ring_chain(n))
 
 
 def full_check_outcome(cob: Cobordism):
@@ -340,6 +329,22 @@ class TestIncrementalFrontCheck:
         assert len(report.problems) == 2
         assert str(exc.value) == f"front after crossing {list(D2)} is invalid:\n{report}"
         assert str(exc.value) == full_check_outcome(doctored)
+
+    def test_results_equal_checked_fans(self, karu):
+        # each FactorStep.result, sorted unchecked out of the indexed front,
+        # is the fan the checked constructor makes of its cones in any order
+        rng = random.Random(41)
+        steps = 0
+        for cob in seeded_builds() + differential_corpus(karu):
+            for step in extract_factorization(cob):
+                cones = list(step.result.max_cones)
+                rng.shuffle(cones)
+                checked = Fan(cob.base_dim, tuple(cones))
+                assert step.result == checked
+                assert step.result.ambient_dim == checked.ambient_dim == cob.base_dim
+                assert step.result.max_cones == checked.max_cones
+                steps += 1
+        assert steps >= 100, steps
 
     def test_star_local_rule(self, karu, monkeypatch):
         # the checked pairs are exactly the rule's, in order; every pair

@@ -497,17 +497,25 @@ class TestLiftByConstruction:
             assert cone == full and hash(cone) == hash(full), rays
 
     def test_heights_on_the_graph_sheet_are_refused(self, corpus):
-        refused = 0
+        # heights on or below the sheet are refused, and the message prints
+        # the sheet height as the Fraction sum of the oracle's coordinates
+        refused = fractional = 0
         for case in corpus:
             for t, sheet in enumerate(case["sheets"]):
                 last = case["heights"][t - 1] if t else 0
-                if sheet != int(sheet) or sheet <= last:
+                h = math.floor(sheet)
+                if h <= last:
                     continue
-                with pytest.raises(DegenerateHeights):
+                with pytest.raises(DegenerateHeights) as exc:
                     build_cobordism(case["fan"], case["centers"][: t + 1],
-                                    case["heights"][:t] + [int(sheet)])
+                                    case["heights"][:t] + [h])
+                assert str(exc.value) == (
+                    f"center {case['centers'][t]} lifts to height {h}, but the recorded fan "
+                    f"sheet already sits at {sheet} there; choose strictly larger heights"
+                )
                 refused += 1
-        assert refused >= 60, refused
+                fractional += sheet != h
+        assert refused >= 60 and fractional >= 1, (refused, fractional)
 
 
 class TestMaximalFaceSmoothness:

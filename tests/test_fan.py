@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import random
 from fractions import Fraction
 
@@ -32,7 +33,10 @@ from fancob.fan import (
     supports_equal,
     validate_fan,
 )
-from conftest import orthant_fan, random_smooth_fan, random_center_sequence, sample_points
+from fancob import exact
+from fancob.cobordism import build_cobordism
+from conftest import orthant_fan, random_smooth_fan, random_center_sequence, ring_chain, sample_points
+from test_facet_boundary import _orthant
 
 E1, E2, E3 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
 
@@ -266,6 +270,136 @@ class TestMinimalContainingCone:
     def test_not_in_support(self):
         with pytest.raises(NotInSupport):
             minimal_containing_cone(orthant_fan(), (-1, 0, 0))
+
+
+def _signed_unit(d, i, s):
+    return tuple(s if j == i else 0 for j in range(d))
+
+
+def locate_corpus_fan(rng: random.Random, d: int, kind: str) -> Fan:
+    """A valid fan in dim d: every orthant ("complete"), some of them
+    ("partial", with boundary facets), or the orthants with x_1 >= 0 and
+    lower-dimensional cones on -e_1 and other signed unit vectors
+    ("impure"); then up to three star subdivisions at primitive face
+    barycenters."""
+    signs = list(itertools.product((1, -1), repeat=d))
+    if kind == "complete":
+        cones = [_orthant(s) for s in signs]
+    elif kind == "partial":
+        cones = [_orthant(s) for s in rng.sample(signs, rng.randint(1, len(signs) - 1))]
+    else:
+        # cones on signed unit vectors of distinct axes meet in the cone on
+        # their shared rays, so only nested ones are dropped
+        low = set()
+        for _ in range(3):
+            axes = rng.sample(range(1, d), rng.randint(0, d - 2))
+            rays = [_signed_unit(d, 0, -1)] + [_signed_unit(d, i, rng.choice((1, -1))) for i in axes]
+            low.add(frozenset(rays))
+        cones = [_orthant(s) for s in signs if s[0] == 1]
+        cones += [SimplicialCone(tuple(c)) for c in low if not any(c < o for o in low)]
+    fan = Fan(d, tuple(cones))
+    for _ in range(rng.randint(0, 3)):
+        cone = rng.choice(fan.max_cones)
+        face = rng.sample(cone.rays, rng.randint(1, cone.dim))
+        center = primitive(tuple(map(sum, zip(*face))))
+        if center not in fan.rays:
+            fan = star_subdivide(fan, center)
+    return fan
+
+
+class TestPointLocation:
+    """fan._locate walks from a start cone before it scans; on a valid fan
+    every start must give minimal_containing_cone's face."""
+
+    def test_walk_agrees_with_scan(self):
+        rng = random.Random(23)
+        seen = {"walked": 0, "gave_up": 0, "outside": 0}
+        face_dims = set()
+        for d in (2, 3, 4):
+            for kind in ("complete", "partial", "impure"):
+                for _ in range(4):
+                    fan = locate_corpus_fan(rng, d, kind)
+                    assert validate_fan(fan).ok
+                    cones = fanmod._IndexedCones(fan.max_cones)
+                    points = []
+                    for k in range(1, d + 1):
+                        for _ in range(3):
+                            cone = rng.choice([c for c in fan.max_cones if c.dim >= k] or fan.max_cones)
+                            face = rng.sample(cone.rays, min(k, cone.dim))
+                            points.append(tuple(
+                                sum(rng.randint(1, 3) * r[i] for r in face) for i in range(d)
+                            ))
+                    points += [tuple(rng.randint(-3, 3) for _ in range(d)) for _ in range(4)]
+                    for p in points:
+                        if not any(p):
+                            continue
+                        try:
+                            want = minimal_containing_cone(fan, p)
+                        except NotInSupport:
+                            want = None
+                        for start in fan.max_cones:
+                            walked = fanmod._walk(cones, p, start)[0] is not None
+                            if want is None:
+                                assert not walked
+                                with pytest.raises(NotInSupport):
+                                    fanmod._locate(cones, p, start)
+                                seen["outside"] += 1
+                                continue
+                            tau, sigma, coords = fanmod._locate(cones, p, start)
+                            assert tau == want and want.rays == _positive_rays(sigma, p)
+                            assert coords == fanmod._coordinates(sigma, p)
+                            seen["walked" if walked else "gave_up"] += 1
+                            face_dims.add(want.dim)
+        assert face_dims == {1, 2, 3, 4}
+        assert min(seen.values()) >= 200, seen
+
+    def test_step_cap_falls_back_to_the_scan(self, monkeypatch):
+        # an index that always points across to the other of two cones
+        # missing the point makes the walk circle; it stops after
+        # len(cones) steps and the scan in fan order answers
+        fan = p2_fan()
+        point = (1, 1)
+        want = minimal_containing_cone(fan, point)
+        cones = fanmod._IndexedCones(fan.max_cones)
+        a, b = (c for c in fan.max_cones if not cone_contains(c, point))
+        monkeypatch.setattr(fanmod._IndexedCones, "holding", lambda self, rays: {a, b})
+        real, seen = fanmod._coordinates, []
+
+        def recording(cone, p):
+            seen.append(cone)
+            return real(cone, p)
+
+        monkeypatch.setattr(fanmod, "_coordinates", recording)
+        assert fanmod._walk(cones, point, a) == (None, None)
+        assert seen == [a, b, a]
+        seen.clear()
+        tau, sigma, _ = fanmod._locate(cones, point, a)
+        assert tau == want and sigma == want
+        scan = list(fan.max_cones[: fan.max_cones.index(sigma) + 1])
+        assert seen == [a, b, a] + scan
+
+    @pytest.mark.parametrize("n", [64, 128])
+    def test_ring_chain_locate_count(self, n, monkeypatch):
+        # the build of the ring chain examines a bounded number of cones per
+        # center, whatever n, and needs no solve_in_span for the graph height
+        counts = {"cones": 0, "solve_in_span": 0}
+        real_coordinates, real_solve = fanmod._coordinates, exact.solve_in_span
+
+        def coordinates(cone, p):
+            counts["cones"] += 1
+            return real_coordinates(cone, p)
+
+        def solve(*args):
+            counts["solve_in_span"] += 1
+            return real_solve(*args)
+
+        monkeypatch.setattr(fanmod, "_coordinates", coordinates)
+        monkeypatch.setattr(exact, "solve_in_span", solve)
+        fan, centers = ring_chain(n)
+        cob = build_cobordism(fan, centers)
+        assert len(cob.top.max_cones) == 3 * n
+        assert counts["solve_in_span"] == 0
+        assert counts["cones"] / len(centers) < 4, counts
 
 
 class TestStarSubdivide:
