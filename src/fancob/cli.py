@@ -31,8 +31,6 @@ from .cobordism import (
     Cobordism,
     build_cobordism,
     circuit_class,
-    circuit_of,
-    classify,
     cobordism_from_doc,
     cobordism_to_doc,
     validate_cobordism,
@@ -133,9 +131,8 @@ def cmd_validate(path: str, kind: str | None = None, bottom: str | None = None,
 
 def cmd_circuits(path: str) -> CommandResult:
     cob, _, _ = load_cobordism(path)
-    circuits = [circuit_of(cone) for cone in cob.fan.max_cones]
     rows = []
-    for cone, circ in zip(cob.fan.max_cones, circuits):
+    for cone, circ in zip(cob.fan.max_cones, cob.circuits):
         rows.append(
             {
                 "cone": [list(r) for r in cone.rays],
@@ -148,7 +145,7 @@ def cmd_circuits(path: str) -> CommandResult:
             }
         )
     lines = [f"{len(rows)} maximal cones"]
-    for i, (cone, circ, row) in enumerate(zip(cob.fan.max_cones, circuits, rows)):
+    for i, (cone, circ, row) in enumerate(zip(cob.fan.max_cones, cob.circuits, rows)):
         lines.append(
             f"[{i}] {_vecs_str(cone.rays)}  class={row['class']}"
         )
@@ -217,8 +214,8 @@ def cmd_build(path: str, centers: str, out: str | None = None) -> CommandResult:
     out = out or str(Path(path).with_suffix(".cob"))
     Path(out).write_text(json.dumps(cobordism_to_doc(cob), indent=2, sort_keys=True) + "\n")
     census: dict[str, int] = {}
-    for cone in cob.fan.max_cones:
-        cls = classify(cone).value
+    for circ in cob.circuits:
+        cls = circuit_class(circ).value
         census[cls] = census.get(cls, 0) + 1
     lines = [
         f"built cobordism with {len(cob.fan.max_cones)} maximal cones -> {out}",

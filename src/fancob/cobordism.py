@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import enum
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
 
@@ -91,7 +91,14 @@ def circuit_of(cone: SimplicialCone) -> Circuit | None:
     """
     if cone.dim < cone.ambient_dim and any(y[-1] for y in fanmod._span_equalities(cone)):
         return None
-    rel = primitive([n[-1] for n in fanmod._cone_solver(cone)])
+    return _checked_circuit(cone, primitive([n[-1] for n in fanmod._cone_solver(cone)]))
+
+
+def _checked_circuit(cone: SimplicialCone, rel: tuple[int, ...]) -> Circuit:
+    """The circuit of a lifted cone from a primitive relation aligned with
+    its rays, checked exactly: the relation must map the rays to a positive
+    multiple of e = e_{d+1}, else AssertionFailed.  On independent rays that
+    relation is unique, so every correct one gives circuit_of's circuit."""
     image = [sum(map(mul, rel, column)) for column in zip(*cone.rays)]
     if any(image[:-1]) or image[-1] <= 0:
         raise AssertionFailed(f"relation {rel} maps the rays of {cone} to {image}, not to e")
@@ -213,10 +220,15 @@ def _projected_fan(faces, base_dim: int) -> Fan:
 
 @dataclass(frozen=True)
 class Cobordism:
-    """A lifted fan together with its boundary data.
+    """A lifted fan together with its boundary data and circuits.
 
     bottom and top are the projections of the lower and upper boundary faces;
-    they are computed once at construction and cached here.
+    they are computed once at construction and cached here.  circuits is
+    aligned with fan.max_cones: the circuit_of of each maximal cone, None for
+    a projection-independent one, computed once by from_fan or read off the
+    construction by build_cobordism.  Every reader of a cobordism's circuits
+    (the single-cone checks, the circuit graph, the smoothness test, the CLI
+    and the demos) takes them from here.
     """
 
     base_dim: int
@@ -225,16 +237,17 @@ class Cobordism:
     upper_faces: tuple[SimplicialCone, ...]
     bottom: Fan
     top: Fan
+    circuits: tuple[Circuit | None, ...] = field(repr=False)
 
     @classmethod
     def from_fan(cls, fan: Fan, base_dim: int | None = None) -> "Cobordism":
         """The cobordism of a lifted fan; a vertical ray raises InvalidFan.
 
-        Computes each maximal cone's circuit once, the boundary faces read
-        off them and their projections, and nothing else, in polynomial time
-        on every fan.  Only on a fan that passes validate_fan (checked by
-        validate_cobordism, not here) are they the boundary proved in
-        boundary's docstring.
+        Computes each maximal cone's circuit once (kept as circuits), the
+        boundary faces read off them and their projections, and nothing
+        else, in polynomial time on every fan.  Only on a fan that passes
+        validate_fan (checked by validate_cobordism, not here) are they the
+        boundary proved in boundary's docstring.
         """
         if base_dim is None:
             base_dim = fan.ambient_dim - 1
@@ -247,7 +260,13 @@ class Cobordism:
         for r in fan.rays:
             if all(x == 0 for x in base_part(r)):
                 raise InvalidFan(f"vertical ray {r} (zero projection) is not allowed")
-        circuits = [circuit_of(c) for c in fan.max_cones]
+        return cls._with_circuits(fan, base_dim, tuple(circuit_of(c) for c in fan.max_cones))
+
+    @classmethod
+    def _with_circuits(cls, fan: Fan, base_dim: int, circuits) -> "Cobordism":
+        """The cobordism of a lifted fan of dim base_dim + 1 >= 2 without
+        vertical rays, given the circuit of each maximal cone in fan order
+        (each caller says why they are those of circuit_of)."""
         lower, upper = _boundary(fan, circuits, Side.LOWER), _boundary(fan, circuits, Side.UPPER)
         return cls(
             base_dim=base_dim,
@@ -256,6 +275,7 @@ class Cobordism:
             upper_faces=upper,
             bottom=_projected_fan(lower, base_dim),
             top=_projected_fan(upper, base_dim),
+            circuits=circuits,
         )
 
 
@@ -263,8 +283,8 @@ def _cone_problems(cob: Cobordism) -> list[str]:
     """The checks read off single cones: degenerate circuits, and boundary
     faces projecting to the same cone (each projects injectively)."""
     problems = []
-    for cone in cob.fan.max_cones:
-        if classify(cone) is ConeClass.DEGENERATE:
+    for cone, circ in zip(cob.fan.max_cones, cob.circuits):
+        if circuit_class(circ) is ConeClass.DEGENERATE:
             problems.append(f"degenerate circuit in maximal cone {cone}")
     for side, faces in (("lower", cob.lower_faces), ("upper", cob.upper_faces)):
         seen: dict[tuple[Vec, ...], SimplicialCone] = {}
@@ -389,6 +409,18 @@ def build_cobordism(delta: Fan, centers, heights=None) -> Cobordism:
     The located maximal cone sigma gives the graph height: c_t has
     coordinate <n_i, c_t> / D on ray r_i of sigma (fan._cone_solver), so
     g_t(c_t) = sum_i <n_i, c_t> height(r_i) / D, compared in integers.
+
+    The same coordinates give every circuit, so no cone's is recomputed.
+    They are positive exactly on the rays of tau, which lie in every cone
+    of the star, so each N(sigma) has the relation
+    D (c_t, h_t) - sum_{r in tau} <n_r, c_t> lift_t(r): its base part is
+    D c_t - D c_t = 0 and its height D h_t - D g_t(c_t) > 0.  Made
+    primitive and checked exactly as circuit_of checks its own (else
+    AssertionFailed), it is circuit_of(N(sigma)), since a relation of
+    independent rays that maps them to a positive multiple of e is unique
+    up to a positive factor: the apex is its one positive ray and tau's
+    rays its negative ones.  A height-0 copy spans no e, so its circuit is
+    None.
     """
     centers = [primitive(tuple(operator.index(x) for x in c)) for c in centers]
     for c in centers:
@@ -410,7 +442,7 @@ def build_cobordism(delta: Fan, centers, heights=None) -> Cobordism:
     height_of: dict[Vec, int] = {r: 0 for r in delta.rays}
     running = fanmod._IndexedCones(delta.max_cones)  # the running fan's cones
     start = None  # where the next point location walks from
-    lifted: list[SimplicialCone] = []
+    lifted: dict[SimplicialCone, Circuit | None] = {}  # each lifted cone's circuit
     for center, h in zip(centers, heights):
         # height_of holds exactly the running fan's rays
         if center in height_of:
@@ -430,24 +462,32 @@ def build_cobordism(delta: Fan, centers, heights=None) -> Cobordism:
                 "choose strictly larger heights"
             )
         apex = center + (h,)
+        # the circuit relation d * apex - sum <n_r, c> lift(r) over tau's
+        # rays, the positive coordinates
+        support = [(apex, d)] + [(r + (height_of[r],), -s) for r, s in zip(found.rays, coords) if s]
+        relation = dict(zip((v for v, _ in support), primitive([x for _, x in support])))
         for sigma in fanmod._split_at(running, center, tau):
             # h > graph height puts the lifted center off span lift(sigma)
-            gens = tuple(r + (height_of[r],) for r in sigma.rays) + (apex,)
-            lifted.append(SimplicialCone._face(gens))
+            cone = SimplicialCone._face(tuple(r + (height_of[r],) for r in sigma.rays) + (apex,))
+            lifted[cone] = _checked_circuit(cone, tuple(relation.get(v, 0) for v in cone.rays))
         height_of[center] = h
         if delta_ok:
             # the running fans are valid too (see below), so fan._locate
             # may walk, from a cone holding this center
             start = next(iter(running.holders[center]))
-    # distinct cones of delta's dim: its own and the joins of _split_at
-    current = Fan._sorted(delta.ambient_dim, running.cones)
+    # distinct cones of delta's dim in fan order: its own and the joins of
+    # _split_at
+    current = Fan._sorted(delta.ambient_dim, running.ordered)
     original = set(delta.max_cones)
-    lifted += [
-        SimplicialCone._face(tuple(r + (0,) for r in c.rays))  # lifts independent rays
-        for c in current.max_cones if c in original
-    ]
+    for c in current.max_cones:
+        if c in original:
+            # lifts independent rays, and its span misses e
+            lifted[SimplicialCone._face(tuple(r + (0,) for r in c.rays))] = None
 
-    cob = Cobordism.from_fan(Fan(delta.ambient_dim + 1, tuple(lifted)), delta.ambient_dim)
+    # lifted rays have nonzero base parts, the rays of delta and the centers
+    lifted_fan = Fan(delta.ambient_dim + 1, tuple(lifted))
+    circuits = tuple(lifted[c] for c in lifted_fan.max_cones)
+    cob = Cobordism._with_circuits(lifted_fan, delta.ambient_dim, circuits)
     proved = (
         delta_ok
         and fanmod.fans_equal(cob.bottom, delta)

@@ -24,7 +24,6 @@ from .cobordism import (
     ConeClass,
     base_part,
     circuit_class,
-    circuit_of,
 )
 from .fan import Fan, SimplicialCone, ValidationReport
 
@@ -73,11 +72,11 @@ class FactorStep:
 
 
 def circuit_graph(cob: Cobordism) -> CollapseGraph:
-    """The circuit dependency graph of a cobordism's maximal cones."""
+    """The circuit dependency graph of a cobordism's maximal cones, read off
+    its stored circuits."""
     circuits: dict[CircuitKey, Circuit] = {}
     cones: dict[CircuitKey, list[SimplicialCone]] = {}
-    for cone in cob.fan.max_cones:
-        circ = circuit_of(cone)
+    for cone, circ in zip(cob.fan.max_cones, cob.circuits):
         if circ is None:
             continue
         key = circ.key
@@ -188,8 +187,7 @@ def is_pi_nonsingular(cob: Cobordism) -> tuple[bool, SimplicialCone | None]:
     leaving the prefix sorts after the prefix ray it skips.
     """
     witness = None
-    for cone in cob.fan.max_cones:
-        circ = circuit_of(cone)
+    for cone, circ in zip(cob.fan.max_cones, cob.circuits):
         for v in circ.rays if circ else (None,):
             face = tuple(r for r in cone.rays if r != v)
             if _smooth_projection(face):
@@ -200,13 +198,6 @@ def is_pi_nonsingular(cob: Cobordism) -> tuple[bool, SimplicialCone | None]:
     if witness is None:
         return True, None
     return False, SimplicialCone(witness)
-
-
-def _projected_face(cone: SimplicialCone, dropped: Vec) -> SimplicialCone:
-    # dropping a circuit ray leaves rays with independent projections
-    return SimplicialCone._face(
-        tuple(primitive(base_part(r)) for r in cone.rays if r != dropped)
-    )
 
 
 def _star_local_pairs(
@@ -267,34 +258,42 @@ def extract_factorization(cob: Cobordism, elide_identity: bool = False) -> list[
        and neither holds the other: _pair_problem(c, u) is None.  Old
        pairs passed at an earlier crossing.
 
-    The front is one set of cones with its ray -> cones index
-    (fan._IndexedCones), kept across crossings: the lower cones leave, the
-    upper ones enter, and the index names the cones sharing a ray with
+    The front is one set of cones kept in fan order with its ray -> cones
+    index (fan._IndexedCones), kept across crossings: the lower cones leave,
+    the upper ones enter, and the index names the cones sharing a ray with
     pi(sigma).  The checked pairs (a, b) are sorted by (a.rays, b.rays),
     which is combinations order over the front in fan order, so a
     BrokenFan report is exactly the one validate_fan gives for the new
-    front.  A circuit with no positive ray (degenerate, refused below after
-    the check) keeps the full pair check.  Each FactorStep.result is made
-    by the unchecked Fan._sorted, as the front is a set of cones of the
-    bottom's dimension.
+    front; the full check runs over the ordered list as it stands.  A
+    circuit with no positive ray (degenerate, refused below after the
+    check) keeps the full pair check.  Each FactorStep.result is the
+    ordered list taken as it is by the unchecked Fan._sorted, as the front
+    holds distinct cones of the bottom's dimension in fan order.  Each
+    lifted ray is projected once, and the graph reads the stored circuits.
     """
     graph = circuit_graph(cob)
     ok, witness = _collapse_order(graph)
     if not ok:
         raise NotCollapsible(f"circuit graph has the cycle {list(witness)}", witness)
+    down = {r: primitive(base_part(r)) for r in cob.fan.rays}
+
+    def projected_face(cone: SimplicialCone, dropped: Vec) -> SimplicialCone:
+        # dropping a circuit ray leaves rays with independent projections
+        return SimplicialCone._face(tuple(down[r] for r in cone.rays if r != dropped))
+
     front = fanmod._IndexedCones(cob.bottom.max_cones)
     passed = False  # whether a front has passed its pair check
     steps: list[FactorStep] = []
     for key in witness:
         circ = graph.circuits[key]
         star = graph.cones[key]
-        lower = {_projected_face(cone, p) for cone in star for p in circ.pos}
+        lower = {projected_face(cone, p) for cone in star for p in circ.pos}
         # each upper cone with the rays pi(sigma) of the star cones it comes from
         upper: dict[SimplicialCone, set[Vec]] = {}
         for cone in star:
-            rays = {primitive(base_part(r)) for r in cone.rays}
+            rays = {down[r] for r in cone.rays}
             for n in circ.neg:
-                upper.setdefault(_projected_face(cone, n), set()).update(rays)
+                upper.setdefault(projected_face(cone, n), set()).update(rays)
         missing = lower - front.cones
         if missing:
             raise FrontMismatch(
@@ -309,7 +308,7 @@ def extract_factorization(cob: Cobordism, elide_identity: bool = False) -> list[
         if passed and circ.pos:
             pairs = _star_local_pairs(fresh, front.holders)
         else:
-            pairs = itertools.combinations(sorted(front.cones, key=fanmod._RAYS), 2)
+            pairs = itertools.combinations(front.ordered, 2)
         problems = []
         for a, b in pairs:
             problem = fanmod._pair_problem(a, b)
@@ -323,14 +322,15 @@ def extract_factorization(cob: Cobordism, elide_identity: bool = False) -> list[
         if kind is None:
             raise InvalidFan(f"circuit {list(key)} is degenerate: its relation has one sign")
         if kind is StepKind.BLOWUP:
-            center = primitive(base_part(circ.pos[0]))
+            center = down[circ.pos[0]]
         elif kind is StepKind.BLOWDOWN:
-            center = primitive(base_part(circ.neg[0]))
+            center = down[circ.neg[0]]
         else:
             center = None
         if not (elide_identity and kind is StepKind.IDENTITY):
-            # distinct cones of the bottom's dim: its own and projected faces
-            result = Fan._sorted(cob.bottom.ambient_dim, front.cones)
+            # distinct cones of the bottom's dim in fan order: its own and
+            # projected faces
+            result = Fan._sorted(cob.bottom.ambient_dim, front.ordered)
             steps.append(FactorStep(kind=kind, center=center, circuit=key, result=result))
     if front.cones != set(cob.top.max_cones):
         raise FrontMismatch("final front does not equal the top fan")

@@ -58,7 +58,7 @@ def positive_link_centers(cob: Cobordism) -> list[ScheduleEntry]:
     Cones are visited by reverse topological order of their circuits; within
     a circuit in descending canonical order; link rays in ascending order.
     """
-    circuits = {cone: circuit_of(cone) for cone in cob.fan.max_cones}
+    circuits = dict(zip(cob.fan.max_cones, cob.circuits))
     for cone, circ in circuits.items():
         cls = circuit_class(circ)
         if cls is not ConeClass.UP:
@@ -158,8 +158,7 @@ def karu_counterexample(base_change=None) -> DemoReport:
     cob = build_cobordism(delta, centers)
 
     census = []
-    for cone in cob.fan.max_cones:
-        circ = circuit_of(cone)
+    for cone, circ in zip(cob.fan.max_cones, cob.circuits):
         cls = circuit_class(circ)
         census.append((cone, cls, len(circ.pos) if circ else 0, len(circ.link) if circ else 0))
     _require(len(census) == 4, f"expected 4 maximal cones, found {len(census)}")
@@ -181,8 +180,8 @@ def karu_counterexample(base_change=None) -> DemoReport:
         primitive(_apply(u, (0, 0, 1))),
     }
     three_negative = None
-    for cone in after_midrays.max_cones:
-        circ = circuit_of(cone)
+    midway = Cobordism.from_fan(after_midrays, cob.base_dim)
+    for cone, circ in zip(midway.fan.max_cones, midway.circuits):
         if circuit_class(circ) is not ConeClass.UP:
             continue
         if len(circ.neg) == 3 and {

@@ -13,10 +13,12 @@ test (_stays_inside) and the facet normals (_facet_normals, the primitive
 rows) are sign tests on its rows, after the span equalities
 (_span_equalities) vanish on the point.
 
-Point location (_locate) walks across facets from a given cone through a
-ray -> cones index (_IndexedCones), stepping over the facet of a negative
-coordinate, and falls back to a scan in fan order; star subdivision
-(_split_at) reads its star off the same index.
+A running set of maximal cones (_IndexedCones) keeps them in fan order, by
+bisection on their rays, next to a ray -> cones index.  Point location
+(_locate) walks across facets from a given cone through the index, stepping
+over the facet of a negative coordinate, and falls back to a scan of the
+ordered list; star subdivision (_split_at) reads its star off the index,
+and a Fan is made of the ordered list without sorting (Fan._sorted).
 
 Support containment is decided by one exact, polynomial facet-crossing test
 (covered_by_fan): a cone lies in the support of a valid fan iff its
@@ -28,18 +30,22 @@ Both pair questions, the fan axiom (_pair_problem) and the pieces of the
 support test, first look for a separating facet certificate
 (_separating_zeros): a facet normal w of one cone is >= 0 on that cone, so
 when w <= 0 on every ray of the other cone the intersection lies in the
-cone on the other's rays where w vanishes.  Every step is an integer sign
-test, so a certificate is a proof; only pairs without one take the
-double-description pass (_intersection_generators).
+cone on the other's rays where w vanishes.  The zero sets of successive
+certificates are intersected, the running set only shrinks, and a caller
+stops at the first set that settles its question.  Every step is an
+integer sign test, so a certificate is a proof; only pairs without one take
+the double-description pass (_intersection_generators).
 
 All values are immutable; every operation returns new values.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import operator
 import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import mul
@@ -153,12 +159,12 @@ class Fan:
     @classmethod
     def _sorted(cls, ambient_dim: int, cones) -> "Fan":
         """The fan on distinct cones of ambient dimension ambient_dim >= 1,
-        which its caller has proved (each call site says why).  The cones
-        are only sorted into fan order; the value is that of
-        Fan(ambient_dim, cones)."""
+        already in fan order, which its caller has proved (each call site
+        says why), such as the ordered list of an _IndexedCones.  Nothing is
+        checked or sorted; the value is that of Fan(ambient_dim, cones)."""
         fan = object.__new__(cls)
         object.__setattr__(fan, "ambient_dim", ambient_dim)
-        object.__setattr__(fan, "max_cones", tuple(sorted(cones, key=_RAYS)))
+        object.__setattr__(fan, "max_cones", tuple(cones))
         return fan
 
     @property
@@ -262,15 +268,19 @@ def _intersection_generators(a: SimplicialCone, b: SimplicialCone) -> list[Vec]:
     return gens
 
 
-def _separating_zeros(a: SimplicialCone, b: SimplicialCone) -> tuple[Vec, ...] | None:
-    """Rays of b spanning a cone that holds a ∩ b, proved by facet normals of
-    a; None when no facet normal of a is <= 0 on all of b.
+def _separating_zeros(a: SimplicialCone, b: SimplicialCone) -> Iterator[set[Vec]]:
+    """Sets of rays of b, each spanning a cone that holds a ∩ b, proved by
+    facet normals of a: one set per normal that is <= 0 on all of b, in
+    normal order, each the last one cut down.  No set when no facet normal
+    of a is <= 0 on all of b.
 
     A facet normal w of a is >= 0 on a (also for lower-dimensional a: the
     normals live in its span).  When w <= 0 on every ray of b, a ∩ b lies in
     b ∩ {w = 0}, the cone on the rays of b where w vanishes.  Cones on
     subsets of the independent rays of b meet in the cone on the common
-    subset, so the rays where every such w vanishes hold a ∩ b.
+    subset, so the rays where every such w so far vanishes hold a ∩ b.  The
+    sets only shrink, so a caller stops at the first one that settles its
+    question: it would be settled by the last one too.
     """
     zeros = None
     for w in _facet_normals(a):
@@ -283,9 +293,7 @@ def _separating_zeros(a: SimplicialCone, b: SimplicialCone) -> tuple[Vec, ...] |
                 z.add(r)
         else:
             zeros = z if zeros is None else zeros & z
-    if zeros is None:
-        return None
-    return tuple(r for r in b.rays if r in zeros)
+            yield zeros
 
 
 def is_smooth(cone: SimplicialCone) -> bool:
@@ -334,9 +342,9 @@ def _pair_problem(a: SimplicialCone, b: SimplicialCone) -> str | None:
         return f"nested maximal cones: {a} and {b}"
     shared = sa & sb
     for x, y in ((a, b), (b, a)):
-        zeros = _separating_zeros(x, y)
-        if zeros is not None and shared.issuperset(zeros):
-            return None
+        for zeros in _separating_zeros(x, y):
+            if zeros <= shared:
+                return None
     apart = [w for w, r in zip(_facet_normals(a), a.rays) if r not in sb]
     for g in _intersection_generators(a, b):
         # g lies in a, and normal i pairs with ray i alone, so g lies in
@@ -360,26 +368,32 @@ def validate_fan(fan: Fan) -> ValidationReport:
 
 
 class _IndexedCones:
-    """A set of maximal cones and its ray -> cones index, updated together
-    in place: the running fan of build_cobordism and the front of
-    extract_factorization.  Fan order is restored only when a Fan is made
-    of them (Fan._sorted)."""
+    """A set of distinct maximal cones, the same cones in fan order and
+    their ray -> cones index, updated together in place: the running fan of
+    build_cobordism and the front of extract_factorization.  The ordered
+    list is kept by bisection on the rays, so a Fan is made of it without
+    sorting (Fan._sorted) and a scan runs in fan order."""
 
-    __slots__ = ("cones", "holders")
+    __slots__ = ("cones", "ordered", "holders")
 
     def __init__(self, cones):
         self.cones: set[SimplicialCone] = set()
+        self.ordered: list[SimplicialCone] = []
         self.holders: dict[Vec, set[SimplicialCone]] = {}
         for c in cones:
             self.add(c)
 
     def add(self, cone: SimplicialCone) -> None:
+        if cone in self.cones:
+            return
         self.cones.add(cone)
+        bisect.insort(self.ordered, cone, key=_RAYS)
         for r in cone.rays:
             self.holders.setdefault(r, set()).add(cone)
 
     def remove(self, cone: SimplicialCone) -> None:
         self.cones.remove(cone)
+        del self.ordered[bisect.bisect_left(self.ordered, cone.rays, key=_RAYS)]
         for r in cone.rays:
             self.holders[r].discard(cone)
 
@@ -410,7 +424,7 @@ def _locate(cones: _IndexedCones, point, start: SimplicialCone | None = None):
     """
     sigma, coords = _walk(cones, point, start) if start is not None else (None, None)
     if sigma is None:
-        for sigma in sorted(cones.cones, key=_RAYS):
+        for sigma in cones.ordered:
             coords = _coordinates(sigma, point)
             if coords is not None and min(coords) >= 0:
                 break
@@ -461,8 +475,8 @@ def star_subdivide(fan: Fan, center) -> Fan:
     if center in cones.holders:
         return fan
     _split_at(cones, center, _locate(cones, center)[0])
-    # distinct cones, and _locate has checked the center's dim
-    return Fan._sorted(fan.ambient_dim, cones.cones)
+    # distinct cones in fan order, and _locate has checked the center's dim
+    return Fan._sorted(fan.ambient_dim, cones.ordered)
 
 
 def _split_at(cones: _IndexedCones, center: Vec, tau: SimplicialCone) -> list[SimplicialCone]:
@@ -535,16 +549,17 @@ def covered_by_fan(cone: SimplicialCone, fan: Fan) -> bool:
     A tau is skipped without the double-description pass when cone ∩ tau
     provably has dimension < k: tau has fewer than k rays, a facet normal
     of the cone is <= 0 on tau (the intersection lies in a facet of the
-    cone), or a facet normal of tau is <= 0 on the cone and nonzero on one
-    of its rays (the intersection lies in a proper face of the cone).
+    cone; the first such normal settles it), or facet normals of tau that
+    are <= 0 on the cone vanish together on fewer than k of its rays (the
+    intersection lies in a proper face of the cone; the search stops at the
+    first such set of normals).
     """
     k = cone.dim
     pieces = []
     for tau in fan.max_cones:
-        if tau.dim < k or _separating_zeros(cone, tau) is not None:
+        if tau.dim < k or next(_separating_zeros(cone, tau), None) is not None:
             continue
-        zeros = _separating_zeros(tau, cone)
-        if zeros is not None and len(zeros) < k:
+        if any(len(zeros) < k for zeros in _separating_zeros(tau, cone)):
             continue
         gens = _intersection_generators(cone, tau)
         if rank(gens) == k:

@@ -14,7 +14,6 @@ from fancob.cobordism import Cobordism, build_cobordism
 from fancob.collapse import (
     StepKind,
     _components,
-    _projected_face,
     circuit_graph,
     extract_factorization,
     is_collapsible,
@@ -211,6 +210,11 @@ class TestExtractFactorization:
             extract_factorization(doctored)
 
 
+def projected_face(cone: SimplicialCone, dropped) -> SimplicialCone:
+    """pi(cone - dropped), built with the checked constructor."""
+    return SimplicialCone(tuple(primitive(r[:-1]) for r in cone.rays if r != dropped))
+
+
 def ring_cobordism(n: int) -> Cobordism:
     """The build of the ring chain with n cones and 2n centers."""
     return build_cobordism(*ring_chain(n))
@@ -226,8 +230,8 @@ def full_check_outcome(cob: Cobordism):
     front, fronts = cob.bottom, []
     for key in order:
         circ, star = graph.circuits[key], graph.cones[key]
-        lower = {_projected_face(c, p) for c in star for p in circ.pos}
-        upper = {_projected_face(c, n) for c in star for n in circ.neg}
+        lower = {projected_face(c, p) for c in star for p in circ.pos}
+        upper = {projected_face(c, n) for c in star for n in circ.neg}
         front = Fan(front.ambient_dim, tuple((set(front.max_cones) - lower) | upper))
         report = validate_fan(front)
         if not report.ok:
@@ -263,11 +267,11 @@ def star_local_pairs(cob: Cobordism) -> list[list[tuple[SimplicialCone, Simplici
     front, out = cob.bottom, []
     for key in order:
         circ, star = graph.circuits[key], graph.cones[key]
-        lower = {_projected_face(c, p) for c in star for p in circ.pos}
+        lower = {projected_face(c, p) for c in star for p in circ.pos}
         near: dict[SimplicialCone, set] = {}
         for c in star:
             for n in circ.neg:
-                near.setdefault(_projected_face(c, n), set()).update(primitive(r[:-1]) for r in c.rays)
+                near.setdefault(projected_face(c, n), set()).update(primitive(r[:-1]) for r in c.rays)
         new = Fan(front.ambient_dim, tuple((set(front.max_cones) - lower) | set(near)))
         cones = new.max_cones
         if not out:
@@ -331,20 +335,23 @@ class TestIncrementalFrontCheck:
         assert str(exc.value) == full_check_outcome(doctored)
 
     def test_results_equal_checked_fans(self, karu):
-        # each FactorStep.result, sorted unchecked out of the indexed front,
-        # is the fan the checked constructor makes of its cones in any order
+        # each FactorStep.result, the indexed front's ordered list taken
+        # unchecked and unsorted, is already in fan order and is the fan the
+        # checked constructor makes of its cones in any order
         rng = random.Random(41)
         steps = 0
-        for cob in seeded_builds() + differential_corpus(karu):
+        cobs = seeded_builds() + differential_corpus(karu) + [ring_cobordism(n) for n in (16, 32)]
+        for cob in cobs:
             for step in extract_factorization(cob):
                 cones = list(step.result.max_cones)
+                assert cones == sorted(cones, key=lambda c: c.rays)
                 rng.shuffle(cones)
                 checked = Fan(cob.base_dim, tuple(cones))
                 assert step.result == checked
                 assert step.result.ambient_dim == checked.ambient_dim == cob.base_dim
                 assert step.result.max_cones == checked.max_cones
                 steps += 1
-        assert steps >= 100, steps
+        assert steps >= 200, steps
 
     def test_star_local_rule(self, karu, monkeypatch):
         # the checked pairs are exactly the rule's, in order; every pair

@@ -380,16 +380,18 @@ class TestInvariantChecks:
                 cobordism.circuit_of(cone)
             assert str(failed.value) == f"relation {relation} maps the rays of {cone} to {image}, not to e"
 
-    def test_circuit_sign_partition_check(self, monkeypatch):
+    def test_circuit_sign_partition_check(self):
+        # the stored circuits of two cones carry one key with different signs
         key = ((0, 1, 0), (1, 0, 0), (1, 1, 1))
-
-        def split_by_cone(cone):
-            return cobordism.Circuit(rays=key, relation=(1, 1, -1), pos=cone.rays[:1], neg=(), link=())
-
-        monkeypatch.setattr(collapse, "circuit_of", split_by_cone)
         lifted = fan.Fan(3, (SimplicialCone(key[:2]), SimplicialCone(key[1:])))
-        with pytest.raises(AssertionFailed):
-            collapse.circuit_graph(cobordism.Cobordism(2, lifted, (), (), lifted, lifted))
+        circuits = (
+            cobordism.Circuit(rays=key, relation=(1, 1, -1), pos=key[:2], neg=key[2:], link=()),
+            cobordism.Circuit(rays=key, relation=(1, 1, -1), pos=key[:1], neg=key[1:], link=()),
+        )
+        cob = cobordism.Cobordism(2, lifted, (), (), lifted, lifted, circuits)
+        with pytest.raises(AssertionFailed) as failed:
+            collapse.circuit_graph(cob)
+        assert str(failed.value).startswith(f"circuit {key} splits differently in {lifted.max_cones[1]}")
 
     def test_schedule_center_check(self, monkeypatch, karu):
         monkeypatch.setattr(demos, "nonneg_combination", lambda rays, p: None)

@@ -378,6 +378,57 @@ class TestPointLocation:
         scan = list(fan.max_cones[: fan.max_cones.index(sigma) + 1])
         assert seen == [a, b, a] + scan
 
+    def test_ordered_list_follows_adds_and_removals(self):
+        # the list kept by bisection is the set in fan order after any
+        # sequence of adds (repeated ones included) and removals
+        rng = random.Random(25)
+        for d in (2, 3, 4):
+            pool = list({c for _ in range(30) for c in random_cone_pair(rng, d)})
+            cones = fanmod._IndexedCones(rng.sample(pool, len(pool) // 2))
+            for _ in range(200):
+                cone = rng.choice(pool)
+                if cone in cones.cones and rng.random() < 0.5:
+                    cones.remove(cone)
+                else:
+                    cones.add(cone)
+                assert cones.ordered == sorted(cones.cones, key=fanmod._RAYS)
+                assert all(cones.holders[r] == {c for c in cones.cones if r in c.rays}
+                           for r in cones.holders)
+
+    def test_scan_in_fan_order_decides_on_invalid_fans(self):
+        # on overlapping cones the face holding a point can depend on the
+        # cone it is read off; _locate without a start takes the first cone
+        # of sorted(cones, key=rays) that holds the point, whatever order
+        # the cones came in
+        rng = random.Random(26)
+        decided = 0
+        for d in (2, 3, 4):
+            fans = 0
+            while fans < 15:
+                a, b = random_cone_pair(rng, d)
+                if validate_fan(Fan(d, (a, b))).ok:
+                    continue
+                fans += 1
+                pool = [a, b] + [c for _ in range(3) for c in random_cone_pair(rng, d)]
+                cones = fanmod._IndexedCones([])
+                for c in rng.sample(pool, len(pool)):
+                    cones.add(c)
+                for c in rng.sample(pool[2:], 2):
+                    if c in cones.cones and c not in (a, b):
+                        cones.remove(c)
+                points = [tuple(map(sum, zip(*_intersection_generators(a, b))))]
+                points += sample_points(a, rng, 3) + sample_points(b, rng, 3)
+                for p in points:
+                    holding = [c for c in sorted(cones.cones, key=fanmod._RAYS)
+                               if _positive_rays(c, p) is not None]
+                    if not any(p) or not holding:
+                        continue
+                    tau, sigma, _ = fanmod._locate(cones, p)
+                    assert sigma == holding[0]
+                    assert tau.rays == _positive_rays(sigma, p)
+                    decided += len({_positive_rays(c, p) for c in holding}) > 1
+        assert decided >= 100, decided
+
     @pytest.mark.parametrize("n", [64, 128])
     def test_ring_chain_locate_count(self, n, monkeypatch):
         # the build of the ring chain examines a bounded number of cones per
@@ -641,14 +692,16 @@ class TestSeparatingCertificate:
         rng = random.Random(41)
         pairs = [random_cone_pair(rng, d) for d in (2, 3, 4) for _ in range(700)]
         certified = [_pair_problem(a, b) for a, b in pairs]
-        monkeypatch.setattr(fanmod, "_separating_zeros", lambda a, b: None)
+        monkeypatch.setattr(fanmod, "_separating_zeros", lambda a, b: iter(()))
         assert certified == [_pair_problem(a, b) for a, b in pairs]
         assert 150 <= sum(p is not None for p in certified) <= len(pairs) - 150
 
     def test_certificates_hold(self):
-        # a certified pair meets inside the cone on the certificate's rays,
-        # and the pairs whose certificate reaches past the shared rays include
-        # real overlaps, which only the double-description pass may judge
+        # every running zero set is a shrinking set of rays of the other cone
+        # whose cone holds the intersection, the last one is the
+        # full-intersection rule's, and the pairs whose certificate reaches
+        # past the shared rays include real overlaps, which only the
+        # double-description pass may judge
         rng = random.Random(42)
         kinds = {"shared": 0, "past_shared_overlap": 0, "none": 0}
         for d in (2, 3, 4):
@@ -656,19 +709,96 @@ class TestSeparatingCertificate:
                 a, b = random_cone_pair(rng, d)
                 shared = set(a.rays) & set(b.rays)
                 for x, y in ((a, b), (b, a)):
-                    zeros = _separating_zeros(x, y)
-                    if zeros is None:
+                    running = list(_separating_zeros(x, y))
+                    assert (running[-1] if running else None) == full_intersection_zeros(x, y)
+                    if not running:
                         kinds["none"] += 1
                         continue
-                    assert set(zeros) <= set(y.rays)
-                    for g in _intersection_generators(x, y):
-                        assert zeros and nonneg_combination(zeros, g) is not None, (x, y, zeros, g)
+                    gens = _intersection_generators(x, y)
+                    for last, zeros in zip([set(y.rays)] + running, running):
+                        assert zeros <= last
+                        rays = tuple(r for r in y.rays if r in zeros)
+                        for g in gens:
+                            assert rays and nonneg_combination(rays, g) is not None, (x, y, zeros, g)
+                    zeros = running[-1]
                     if shared.issuperset(zeros):
                         kinds["shared"] += 1
                     elif not (shared >= set(a.rays) or shared >= set(b.rays)) and _pair_problem(a, b):
                         kinds["past_shared_overlap"] += 1
         assert kinds["shared"] >= 1000 and kinds["none"] >= 300, kinds
         assert kinds["past_shared_overlap"] >= 60, kinds
+
+
+def full_intersection_zeros(a: SimplicialCone, b: SimplicialCone):
+    """The full-intersection certificate rule: the rays of b on which every
+    facet normal of a that is <= 0 on all of b vanishes, or None when no
+    facet normal of a is."""
+    zeros = None
+    for w in fanmod._facet_normals(a):
+        if all(dot(w, r) <= 0 for r in b.rays):
+            z = {r for r in b.rays if dot(w, r) == 0}
+            zeros = z if zeros is None else zeros & z
+    return zeros
+
+
+class TestEarlyStoppingCertificates:
+    """_pair_problem and covered_by_fan stop at the first running zero set
+    of _separating_zeros that settles their question; every message and
+    verdict must be the one the full-intersection rule gives."""
+
+    def test_agrees_with_full_intersection(self, monkeypatch):
+        # random pairs, some with a face of the first cone as the second
+        # (nested), each with a cone on some rays of both, queried against
+        # the pair's fan when it is valid
+        rng = random.Random(44)
+        cases = []
+        for d in (2, 3, 4, 5):
+            for _ in range(300):
+                a, b = random_cone_pair(rng, d)
+                if rng.random() < 0.15 and a.dim > 1:
+                    b = SimplicialCone(tuple(rng.sample(a.rays, rng.randint(1, a.dim - 1))))
+                rays = list(set(a.rays) | set(b.rays))
+                try:
+                    query = SimplicialCone(tuple(rng.sample(rays, rng.randint(1, min(d, len(rays))))))
+                except DependentInput:
+                    query = a
+                cases.append((a, b, query))
+
+        def outcomes():
+            out = []
+            for a, b, query in cases:
+                d = a.ambient_dim
+                covered = [covered_by_fan(x, Fan(d, (y,))) for x, y in ((a, b), (b, a))]
+                if validate_fan(Fan(d, (a, b))).ok:
+                    covered.append(covered_by_fan(query, Fan(d, (a, b))))
+                out.append((_pair_problem(a, b), covered))
+            return out
+
+        early = outcomes()
+        kinds = {(d, kind): 0 for d in (2, 3, 4, 5)
+                 for kind in ("disjoint", "face-sharing", "nested", "overlapping")}
+        settled_early = 0
+        for (a, b, _), (problem, _) in zip(cases, early):
+            shared = set(a.rays) & set(b.rays)
+            if problem is None:
+                kind = "face-sharing" if shared else "disjoint"
+            else:
+                kind = "nested" if problem.startswith("nested") else "overlapping"
+            kinds[a.ambient_dim, kind] += 1
+            for x, y in ((a, b), (b, a)):
+                running = list(_separating_zeros(x, y))
+                first = next((i for i, z in enumerate(running) if shared.issuperset(z)), None)
+                settled_early += first is not None and first < len(running) - 1
+
+        def full_rule(a, b):
+            zeros = full_intersection_zeros(a, b)
+            return iter(() if zeros is None else (zeros,))
+
+        monkeypatch.setattr(fanmod, "_separating_zeros", full_rule)
+        assert early == outcomes()
+        verdicts = [v for _, covered in early for v in covered]
+        assert min(verdicts.count(True), verdicts.count(False)) >= 500, verdicts.count(True)
+        assert min(kinds.values()) >= 15 and settled_early >= 200, (kinds, settled_early)
 
 
 class TestGeometryCaches:
