@@ -2,9 +2,10 @@
 
 Exit codes: 0 when every check passed, 1 when a geometric check failed
 (invalid fan, not collapsible where required, a demo census deviation) or
-stdout was closed before the report was written, 2 for input or parse
-errors.  All geometry lives in the library modules; this module only loads
-documents, calls them, and prints.
+stdout was closed before the report was written, 2 for input or parse errors
+(a document that is missing, undecodable or malformed, or an --out or --dot
+path that cannot be written).  All geometry lives in the library modules;
+this module only loads documents, calls them, and prints.
 """
 
 from __future__ import annotations
@@ -52,8 +53,15 @@ def _load_json(path: str):
         raise ParseError(f"no such file: {path}")
     try:
         return json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, or too deep
         raise ParseError(f"{path}: {exc}") from exc
+
+
+def _write(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:  # an unwritable --out or --dot is a usage error
+        raise ParseError(f"cannot write {path}: {exc.strerror}") from exc
 
 
 def load_fan(path: str) -> Fan:
@@ -164,7 +172,7 @@ def cmd_collapse(path: str, dot: str | None = None) -> CommandResult:
     ok, witness = collapsemod._collapse_order(graph)
     artifacts = ()
     if dot:
-        Path(dot).write_text(collapsemod.to_dot(graph))
+        _write(dot, collapsemod.to_dot(graph))
         artifacts = (dot,)
     lines = [f"circuit graph: {len(graph.nodes)} nodes, {len(graph.edges)} edges"]
     if ok:
@@ -195,7 +203,7 @@ def cmd_factorize(path: str, elide_identity: bool = False, out: str | None = Non
     doc = collapsemod.transcript(steps)
     artifacts = ()
     if out:
-        Path(out).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        _write(out, json.dumps(doc, indent=2, sort_keys=True) + "\n")
         artifacts = (out,)
     lines = [f"{len(steps)} steps"]
     for i, step in enumerate(steps):
@@ -212,7 +220,7 @@ def cmd_build(path: str, centers: str, out: str | None = None) -> CommandResult:
     center_vecs = parse_centers(centers, fan.ambient_dim)
     cob = build_cobordism(fan, center_vecs)
     out = out or str(Path(path).with_suffix(".cob"))
-    Path(out).write_text(json.dumps(cobordism_to_doc(cob), indent=2, sort_keys=True) + "\n")
+    _write(out, json.dumps(cobordism_to_doc(cob), indent=2, sort_keys=True) + "\n")
     census: dict[str, int] = {}
     for circ in cob.circuits:
         cls = circuit_class(circ).value

@@ -222,8 +222,9 @@ def _projected_fan(faces, base_dim: int) -> Fan:
 class Cobordism:
     """A lifted fan together with its boundary data and circuits.
 
-    bottom and top are the projections of the lower and upper boundary faces;
-    they are computed once at construction and cached here.  circuits is
+    bottom and top must be the projections of the lower and upper boundary
+    faces, computed once at construction and cached here: validate_cobordism
+    proves their supports equal and does not compare them.  circuits is
     aligned with fan.max_cones: the circuit_of of each maximal cone, None for
     a projection-independent one, computed once by from_fan or read off the
     construction by build_cobordism.  Every reader of a cobordism's circuits
@@ -303,28 +304,29 @@ def validate_cobordism(
     expected_bottom: Fan | None = None,
     expected_top: Fan | None = None,
 ) -> ValidationReport:
-    """Full validity check: fan axioms upstairs, boundary fans downstairs,
-    equal supports, optional expected boundaries, no degenerate circuits.
+    """Full validity check: fan axioms upstairs, the single-cone checks
+    (_cone_problems), fan axioms of bottom and top, expected boundaries.
 
     The lifted fan goes through validate_fan once.  A lifted fan that fails
     it gets the upstairs problems alone: its boundary faces carry no
     guarantee, so nothing downstairs is checked.
+
+    Supports need no check: on a valid lifted fan without degenerate
+    circuits, |bottom| = pi|fan| = |top|.  A cone holding -e (+e) has e in
+    its span with coefficients <= 0 (>= 0), a circuit with no positive (no
+    negative) ray, so every vertical fiber of the support is bounded.  Its
+    lowest point p lies in the relative interior of a face F, which is
+    projection-independent, else p - te stays in F for small t > 0.  Near
+    p the fan is a product along relint F (step 1 of boundary's docstring),
+    so F qualifies as there and lies in a maximal qualifying face G, a lower
+    face; pi(p) is in pi(G).  The highest points give |top| = pi|fan| alike.
     """
     problems = [f"upstairs: {p}" for p in fanmod.validate_fan(cob.fan).problems]
     if problems:
         return ValidationReport(tuple(problems))
     problems += _cone_problems(cob)
     for name, bfan in (("bottom", cob.bottom), ("top", cob.top)):
-        rep = fanmod.validate_fan(bfan)
-        problems += [f"{name}: {p}" for p in rep.problems]
-    if not problems:
-        # one covering pass per direction, stopping at the first witness
-        for name, other, a, b in (("bottom", "top", cob.bottom, cob.top),
-                                  ("top", "bottom", cob.top, cob.bottom)):
-            cone = fanmod._first_uncovered(a, b)
-            if cone is not None:
-                problems.append(f"{name} cone {cone} is not covered by the {other} fan")
-                break
+        problems += [f"{name}: {p}" for p in fanmod.validate_fan(bfan).problems]
     if expected_bottom is not None and not fanmod.fans_equal(cob.bottom, expected_bottom):
         problems.append("bottom fan differs from the expected fan")
     if expected_top is not None and not fanmod.fans_equal(cob.top, expected_top):
@@ -341,21 +343,20 @@ def build_cobordism(delta: Fan, centers, heights=None) -> Cobordism:
     the final fan enter at height 0 so that the bottom always projects back
     to the input fan.
 
-    The result is proved valid without validate_cobordism when the input
-    fan passes validate_fan, the bottom equals the input fan, the top
-    equals the subdivided fan and no single cone fails (_cone_problems).  A
-    star subdivision of a valid simplicial fan is a valid fan with the same
-    support (Ewald 1996, III.2; Fulton 1993, 2.4), so the top's fan axioms
-    and both covering passes hold.  The lifted fan is valid by
-    construction, by the graph-sheet argument of Morelli (J. Algebraic
-    Geom. 5, 1996) and Abramovich-Karu-Matsuki-Wlodarczyk (JAMS 15, 2002,
-    section 2).  Write Delta_t for the running fan before the t-th center
-    c_t (Delta_0 = delta; each is valid by the theorem above, and keeps
-    every ray of the last), h_t for its height, g_t for the function on
-    |delta| that is linear on each cone of Delta_t with the recorded ray
-    heights (g_0 = 0), and lift_t(sigma) for the cone on the rays
-    (r, g_t(r)), r in sigma.  Each base ray has one height, so lifted cones
-    share exactly the lifts of the base rays they share.
+    An input fan that fails validate_fan raises InvalidFan with its report
+    before any center is located.  On a valid one the result is proved
+    valid, and no validate_cobordism runs.  A star subdivision of a valid
+    simplicial fan is a valid fan with the same support (Ewald 1996, III.2;
+    Fulton 1993, 2.4), so the top's fan axioms hold.  The lifted fan is
+    valid by construction, by the graph-sheet argument of Morelli
+    (J. Algebraic Geom. 5, 1996) and Abramovich-Karu-Matsuki-Wlodarczyk
+    (JAMS 15, 2002, section 2).  Write Delta_t for the running fan before
+    the t-th center c_t (Delta_0 = delta; each is valid by the theorem
+    above, and keeps every ray of the last), h_t for its height, g_t for
+    the function on |delta| that is linear on each cone of Delta_t with the
+    recorded ray heights (g_0 = 0), and lift_t(sigma) for the cone on the
+    rays (r, g_t(r)), r in sigma.  Each base ray has one height, so lifted
+    cones share exactly the lifts of the base rays they share.
 
     1. Invariant: the cones recorded before step t and lift_t(sigma) for
        the maximal cones sigma of Delta_t meet pairwise in the cone on
@@ -395,17 +396,14 @@ def build_cobordism(delta: Fan, centers, heights=None) -> Cobordism:
        lies in an input cone, so rho = sigma by maximality; but sigma was
        split, and rho is still in Delta_T.
 
-    So the lifted fan passes validate_fan, and validate_cobordism would
-    find nothing.  Any other outcome raises validate_cobordism's report,
-    which names every failed condition (an invalid input fan shows as the
-    bottom's problems).
+    So the lifted fan passes validate_fan, its bottom is delta and its top
+    Delta_T (its lowest and highest points), and no circuit is degenerate
+    (see below); these last are checked all the same (else AssertionFailed).
 
     Each center is located by fan._locate in the running cones and their
-    ray index, which _split_at updates in place.  Once delta passes
-    validate_fan, every Delta_t is valid, so the face holding c_t in its
-    relative interior is unique and the walk from a cone holding c_{t-1}
-    finds the one the scan in fan order finds.  An invalid delta is located
-    by that scan alone, which fixes the lifted fan recorded for the report.
+    ray index, which _split_at updates in place.  Every Delta_t is valid,
+    so the face holding c_t in its relative interior is unique and the walk
+    from a cone holding c_{t-1} finds the one the scan in fan order finds.
     The located maximal cone sigma gives the graph height: c_t has
     coordinate <n_i, c_t> / D on ray r_i of sigma (fan._cone_solver), so
     g_t(c_t) = sum_i <n_i, c_t> height(r_i) / D, compared in integers.
@@ -438,7 +436,9 @@ def build_cobordism(delta: Fan, centers, heights=None) -> Cobordism:
     ):
         raise ValueError("heights must be positive and strictly increasing")
 
-    delta_ok = fanmod.validate_fan(delta).ok
+    report = fanmod.validate_fan(delta)
+    if not report.ok:
+        raise InvalidFan(f"input fan is invalid:\n{report}")
     height_of: dict[Vec, int] = {r: 0 for r in delta.rays}
     running = fanmod._IndexedCones(delta.max_cones)  # the running fan's cones
     start = None  # where the next point location walks from
@@ -471,10 +471,7 @@ def build_cobordism(delta: Fan, centers, heights=None) -> Cobordism:
             cone = SimplicialCone._face(tuple(r + (height_of[r],) for r in sigma.rays) + (apex,))
             lifted[cone] = _checked_circuit(cone, tuple(relation.get(v, 0) for v in cone.rays))
         height_of[center] = h
-        if delta_ok:
-            # the running fans are valid too (see below), so fan._locate
-            # may walk, from a cone holding this center
-            start = next(iter(running.holders[center]))
+        start = next(iter(running.holders[center]))
     # distinct cones of delta's dim in fan order: its own and the joins of
     # _split_at
     current = Fan._sorted(delta.ambient_dim, running.ordered)
@@ -488,15 +485,8 @@ def build_cobordism(delta: Fan, centers, heights=None) -> Cobordism:
     lifted_fan = Fan(delta.ambient_dim + 1, tuple(lifted))
     circuits = tuple(lifted[c] for c in lifted_fan.max_cones)
     cob = Cobordism._with_circuits(lifted_fan, delta.ambient_dim, circuits)
-    proved = (
-        delta_ok
-        and fanmod.fans_equal(cob.bottom, delta)
-        and fanmod.fans_equal(cob.top, current)
-        and not _cone_problems(cob)
-    )
-    if not proved:
-        report = validate_cobordism(cob, expected_bottom=delta, expected_top=current)
-        raise InvalidFan(f"constructed cobordism failed validation:\n{report}")
+    if (cob.bottom, cob.top) != (delta, current) or _cone_problems(cob):  # runs under -O too
+        raise AssertionFailed("constructed cobordism breaks a proved invariant")
     return cob
 
 

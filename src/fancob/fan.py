@@ -24,7 +24,8 @@ Support containment is decided by one exact, polynomial facet-crossing test
 (covered_by_fan): a cone lies in the support of a valid fan iff its
 full-dimensional pieces cut by the fan's cones exist and every interior
 facet of a piece is crossed into another piece.  The test assumes its fan
-passes validate_fan; supports_equal inherits that precondition.
+passes validate_fan; supports_equal, its one caller, inherits that
+precondition (validate_cobordism proves boundary supports equal instead).
 
 Both pair questions, the fan axiom (_pair_problem) and the pieces of the
 support test, first look for a separating facet certificate

@@ -257,6 +257,31 @@ class TestBuild:
         assert "CenterNotInSupport" in err
 
 
+class TestUnreadableAndUnwritable:
+    """A document that cannot be decoded and an output path that cannot be
+    written end in one error line and exit 2, not in a traceback."""
+
+    @pytest.mark.parametrize("content", [b"\xff\xfe{}", b"[" * 100000], ids=["not-utf8", "deep"])
+    def test_undecodable_document(self, capsys, tmp_path, content):
+        path = tmp_path / "doc.fan"
+        path.write_bytes(content)
+        for argv in (["validate", str(path)], ["build", str(path), "--centers", ""]):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (2, "")
+            assert err.startswith(f"error: {path}: ") and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize("argv", [
+        ["factorize", str(FIXTURES / "karu.cob"), "--out"],
+        ["build", str(FIXTURES / "cone3.fan"), "--centers", "(1,1,0)", "--out"],
+        ["collapse", str(FIXTURES / "karu.cob"), "--dot"],
+    ], ids=["factorize-out", "build-out", "collapse-dot"])
+    def test_unwritable_output_path(self, capsys, tmp_path, argv):
+        target = tmp_path / "missing" / "artifact"
+        code, out, err = run(capsys, *argv, str(target))
+        assert (code, out) == (2, "")
+        assert err == f"error: cannot write {target}: No such file or directory\n"
+
+
 class TestDemo:
     def test_karu(self, capsys):
         code, out, _ = run(capsys, "demo", "karu")

@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
+import json
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -31,10 +31,12 @@ from fancob.errors import (
 )
 from fancob.fan import Fan, SimplicialCone, fans_equal, star_subdivide
 from conftest import (
+    FIXTURES,
     KARU_CENTERS,
     orthant_fan,
     random_center_sequence,
     random_smooth_fan,
+    ring_chain,
 )
 
 E1, E2, E3 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
@@ -167,17 +169,22 @@ class TestValidateCobordism:
         assert any("top fan differs" in p for p in report.problems)
 
     def test_support_mismatch_names_uncovered_cone(self, karu):
-        short_top = replace(karu, top=Fan(3, karu.top.max_cones[:1]))
-        assert validate_cobordism(short_top).problems == (
-            f"bottom cone {karu.bottom.max_cones[0]} is not covered by the top fan",
+        # a boundary with the wrong support is caught by the expected-fan
+        # comparison; the covering oracle names the uncovered cone
+        short_top = Fan(3, karu.top.max_cones[:1])
+        assert validate_cobordism(karu, expected_top=short_top).problems == (
+            "top fan differs from the expected fan",
         )
-        short_bottom = replace(karu, bottom=Fan(3, (SimplicialCone((E1, E2)),)))
-        assert validate_cobordism(short_bottom).problems == (
-            f"top cone {karu.top.max_cones[0]} is not covered by the bottom fan",
+        assert fanmod._first_uncovered(karu.bottom, short_top) == karu.bottom.max_cones[0]
+        short_bottom = Fan(3, (SimplicialCone((E1, E2)),))
+        assert validate_cobordism(karu, expected_bottom=short_bottom).problems == (
+            "bottom fan differs from the expected fan",
         )
+        assert fanmod._first_uncovered(karu.top, short_bottom) == karu.top.max_cones[0]
 
     def test_support_mismatch_covers_each_cone_once(self, karu, monkeypatch):
-        # one covering pass per direction, stopping at the first witness
+        # supports_equal makes one covering pass per direction, stopping at
+        # the first witness; validate_cobordism makes none
         calls = []
         real = fanmod.covered_by_fan
 
@@ -186,18 +193,28 @@ class TestValidateCobordism:
             return real(cone, fan)
 
         monkeypatch.setattr(fanmod, "covered_by_fan", counting)
-        short_top = replace(karu, top=Fan(3, karu.top.max_cones[:1]))
-        assert validate_cobordism(short_top).problems == (
-            f"bottom cone {karu.bottom.max_cones[0]} is not covered by the top fan",
-        )
-        assert calls == [(karu.bottom.max_cones[0], short_top.top)]
+        short_top = Fan(3, karu.top.max_cones[:1])
+        assert not validate_cobordism(karu, expected_top=short_top).ok
+        assert calls == []
+        assert not fanmod.supports_equal(karu.bottom, short_top)
+        assert calls == [(karu.bottom.max_cones[0], short_top)]
         calls.clear()
-        short_bottom = replace(karu, bottom=Fan(3, (SimplicialCone((E1, E2)),)))
-        assert validate_cobordism(short_bottom).problems == (
-            f"top cone {karu.top.max_cones[0]} is not covered by the bottom fan",
-        )
-        assert calls == [(c, karu.top) for c in short_bottom.bottom.max_cones] + [
-            (karu.top.max_cones[0], short_bottom.bottom)]
+        short_bottom = Fan(3, (SimplicialCone((E1, E2)),))
+        assert not validate_cobordism(karu, expected_bottom=short_bottom).ok
+        assert calls == []
+        assert not fanmod.supports_equal(short_bottom, karu.top)
+        assert calls == [(c, karu.top) for c in short_bottom.max_cones] + [
+            (karu.top.max_cones[0], short_bottom)]
+
+    def test_no_covering_pass(self, karu, cyclic, monkeypatch):
+        # equal boundary supports are proved (validate_cobordism's
+        # docstring), so no cobordism runs the covering test
+        delta, centers = ring_chain(16)
+        corpus = [karu, cyclic, build_cobordism(delta, centers)]
+        corpus += [cobordism_from_doc(json.loads(p.read_text()))[0] for p in sorted(FIXTURES.glob("*.cob"))]
+        monkeypatch.setattr(fanmod, "covered_by_fan", lambda *a: pytest.fail("covering pass"))
+        assert len(corpus) == 9
+        assert all(validate_cobordism(cob).ok for cob in corpus)
 
     def test_vertical_ray_rejected(self):
         with pytest.raises(InvalidFan):

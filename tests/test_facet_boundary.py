@@ -13,6 +13,7 @@ import random
 
 import pytest
 
+from fancob import cobordism
 from fancob import fan as fanmod
 from fancob.cli import main
 from fancob.cobordism import (
@@ -28,7 +29,7 @@ from fancob.cobordism import (
 )
 from fancob.collapse import extract_factorization, is_pi_nonsingular
 from fancob.demos import karu_counterexample, noncollapsible_example
-from fancob.errors import DegenerateHeights, DependentInput, InvalidFan
+from fancob.errors import AssertionFailed, DegenerateHeights, DependentInput, InvalidFan
 from fancob.exact import det, kernel_relation, maximal_minor_gcd, primitive, rank, solve_in_span
 from fancob.fan import Fan, SimplicialCone, star_subdivide, validate_fan
 from conftest import FIXTURES, KARU_CENTERS, orthant_fan, random_center_sequence
@@ -400,55 +401,41 @@ class TestUpstairsValidation:
 
 class TestProvedBuild:
     def test_random_builds_skip_the_covering_passes(self, monkeypatch):
-        # the certificate proves what the full check would find
+        # the proof stands in for the full check's covering passes
         rng = random.Random(620)
-        cases = []
-        for d in (2, 3, 4):
-            for _ in range(8):
-                fan, centers = random_build(rng, d)
-                final = fan
-                for c in centers:
-                    final = star_subdivide(final, c)
-                cases.append((fan, centers, final))
-        calls = 0
-        real = fanmod.covered_by_fan
+        cases = [random_build(rng, d) for d in (2, 3, 4) for _ in range(8)]
+        monkeypatch.setattr(fanmod, "covered_by_fan", lambda *a: pytest.fail("covering pass"))
+        for fan, centers in cases:
+            build_cobordism(fan, centers)
 
-        def counting(cone, fan):
-            nonlocal calls
-            calls += 1
-            return real(cone, fan)
-
-        monkeypatch.setattr(fanmod, "covered_by_fan", counting)
-        built = [build_cobordism(fan, centers) for fan, centers, _ in cases]
-        assert calls == 0
-        for cob, (fan, _, final) in zip(built, cases):
-            assert validate_cobordism(cob, expected_bottom=fan, expected_top=final).ok
-        assert calls > 0
-
-    def test_invalid_input_fan_gets_the_full_report(self):
+    def test_invalid_input_fan_gets_the_full_report(self, monkeypatch):
+        # refused with validate_fan's report before any center is located,
+        # also a center outside the support
+        monkeypatch.setattr(fanmod, "_locate", lambda *a: pytest.fail("center located"))
         overlap = Fan(2, (SimplicialCone(((1, 0), (0, 1))), SimplicialCone(((1, 1), (-1, 1)))))
-        assert not validate_fan(overlap).ok
-        with pytest.raises(InvalidFan) as exc:
-            build_cobordism(overlap, [])
-        lifted = Fan(3, tuple(SimplicialCone(tuple(r + (0,) for r in c.rays)) for c in overlap.max_cones))
-        report = validate_cobordism(Cobordism.from_fan(lifted, 2), overlap, overlap)
-        assert not report.ok
-        assert str(exc.value) == f"constructed cobordism failed validation:\n{report}"
-        # with centers, one in the overlap: the report is the full check's
-        # on the lifted fan the construction records
         wedge = Fan(3, (SimplicialCone(((1, 0, 0), (0, 1, 0), (0, 0, 1))),
                         SimplicialCone(((1, 1, 0), (-1, 1, 0), (0, 0, 1)))))
-        assert not validate_fan(wedge).ok
-        for centers in ([(1, 2, 1)], [(0, 1, 1), (1, 3, 2)], [(-1, 2, 1), (1, 0, 1)]):
-            final = wedge
-            for c in centers:
-                final = star_subdivide(final, c)
-            heights = [1 + 4 * t for t in range(len(centers))]
-            lifted = oracle_lifted_fan(wedge, centers, heights)
-            report = validate_cobordism(Cobordism.from_fan(lifted, 3), wedge, final)
+        cases = [(overlap, []), (overlap, [(1, 2)]), (overlap, [(0, -1)])]
+        cases += [(wedge, c) for c in ([], [(1, 2, 1)], [(0, 1, 1), (1, 3, 2)], [(0, 0, -1)],
+                                       [(-1, 2, 1), (0, -1, 0)])]
+        for delta, centers in cases:
+            report = validate_fan(delta)
+            assert not report.ok
             with pytest.raises(InvalidFan) as exc:
-                build_cobordism(wedge, centers, heights)
-            assert str(exc.value) == f"constructed cobordism failed validation:\n{report}"
+                build_cobordism(delta, centers)
+            assert str(exc.value) == "input fan is invalid:\n" + str(report)
+
+    def test_broken_construction_raises_under_O(self, monkeypatch):
+        # the closing conditions are checked by if, not assert, so this
+        # holds under python -O too: a forged single-cone problem, and
+        # boundary projections forged empty, so bottom and top differ
+        for name, forged in (("_cone_problems", lambda cob: ["forged problem"]),
+                             ("_projected_fan", lambda faces, d: Fan(d, ()))):
+            with monkeypatch.context() as patch:
+                patch.setattr(cobordism, name, forged)
+                with pytest.raises(AssertionFailed) as exc:
+                    build_cobordism(orthant_fan(), KARU_CENTERS)
+            assert str(exc.value) == "constructed cobordism breaks a proved invariant"
 
 
 class TestLiftByConstruction:

@@ -1,5 +1,6 @@
 """Exact support covering: differential test against the branch-and-cut DFS,
-and a wall-clock bound on the deepest octahedral cobordism."""
+the boundary-support theorem checked with the covering test as oracle, and
+a wall-clock bound on the deepest octahedral cobordism."""
 
 from __future__ import annotations
 
@@ -10,10 +11,18 @@ import time
 
 from fancob import fan as fanmod
 from fancob.cli import main
-from fancob.cobordism import build_cobordism, cobordism_to_doc
+from fancob.cobordism import (
+    Cobordism,
+    _cone_problems,
+    build_cobordism,
+    circuit_of,
+    cobordism_from_doc,
+    cobordism_to_doc,
+)
 from fancob.collapse import extract_factorization
+from fancob.demos import karu_counterexample, noncollapsible_example
 from fancob.errors import DependentInput
-from fancob.exact import Vec, dot, nonneg_combination, primitive, vec_neg
+from fancob.exact import Vec, det, dot, maximal_minor_gcd, nonneg_combination, primitive, vec_neg
 from fancob.fan import (
     Fan,
     SimplicialCone,
@@ -24,6 +33,7 @@ from fancob.fan import (
     star_subdivide,
     validate_fan,
 )
+from conftest import FIXTURES, random_center_sequence, ring_chain
 
 # --- reference oracle: the former library DFS, exponential in the cone count ---
 
@@ -180,6 +190,90 @@ class TestSeparatingCertificate:
         assert certified == [covered_by_fan(q, target) for q, target in cases]
         assert min(certified.count(True), certified.count(False)) >= 500
         assert with_certificate < calls // 2, (with_certificate, calls)
+
+
+# --- equal boundary supports, proved in validate_cobordism's docstring ---------
+
+
+def _random_lifted_cone(rng: random.Random, d: int) -> SimplicialCone | None:
+    """A cone on 1 to d + 1 random primitive rays of Z^(d+1) without vertical
+    rays, or None when the draw is dependent."""
+    draws = (tuple(rng.randint(-2, 2) for _ in range(d + 1)) for _ in range(rng.randint(1, d + 1)))
+    rays = {primitive(v) for v in draws if any(v[:-1])}
+    if not rays:
+        return None
+    try:
+        return SimplicialCone(tuple(rays))
+    except (DependentInput, ValueError):
+        return None
+
+
+def _edited_build(rng: random.Random, d: int) -> Fan:
+    """A seeded build over a random valid fan in base dim d, moved by
+    (x, y) -> (A x, c y + <l, x>) with det A in {+-1, +-2} and c in {+-1, +-2},
+    which keeps the vertical fibers, with cones dropped and cones replaced
+    by a face holding their circuit: Down (c < 0), non-unimodular and
+    lower-dimensional cones."""
+    fan, _ = random_valid_fan(rng, d)
+    centers, _ = random_center_sequence(rng, fan, max_steps=3)
+    while True:
+        a = [[rng.randint(-1, 1) for _ in range(d)] for _ in range(d)]
+        if abs(det(a)) in (1, 2):
+            break
+    c, l = rng.choice((-2, -1, 1, 2)), [rng.randint(-2, 2) for _ in range(d)]
+
+    def move(r: Vec) -> Vec:
+        x = r[:-1]
+        return primitive(tuple(dot(row, x) for row in a) + (c * r[-1] + dot(l, x),))
+
+    cones = []
+    for cone in build_cobordism(fan, centers).fan.max_cones:
+        if rng.random() < 0.2:
+            continue
+        circ = circuit_of(cone)
+        if circ is not None and circ.link and rng.random() < 0.5:
+            cone = SimplicialCone(circ.rays + tuple(rng.sample(circ.link, rng.randrange(len(circ.link)))))
+        cones.append(SimplicialCone(tuple(move(r) for r in cone.rays)))
+    cones = [x for x in cones if not any(o != x and x.has_face(o) for o in cones)]
+    return Fan(d + 1, tuple(cones))
+
+
+class TestBoundarySupports:
+    def test_covering_finds_no_gap_where_the_checks_pass(self):
+        # wherever validate_cobordism's remaining checks pass, bottom and
+        # top cover each other: the covering test as oracle for the proof
+        rng = random.Random(140)
+        lifted: list[Fan] = []
+        for d in (1, 2, 3, 4):
+            for _ in range(60):
+                cones = (_random_lifted_cone(rng, d) for _ in range(rng.randint(1, 3)))
+                lifted.append(Fan(d + 1, tuple(c for c in cones if c is not None)))
+            if d > 1:
+                lifted += [_edited_build(rng, d) for _ in range(25 if d < 4 else 12)]
+        cobs = [Cobordism.from_fan(f) for f in lifted if f.max_cones]
+        karu = karu_counterexample()
+        cobs += [karu.cobordism, Cobordism.from_fan(karu.final_fan), noncollapsible_example(),
+                 build_cobordism(*ring_chain(16))]
+        cobs += [cobordism_from_doc(json.loads(p.read_text()))[0] for p in sorted(FIXTURES.glob("*.cob"))]
+        for d in (2, 3, 4):
+            for _ in range(10):
+                fan, _ = random_valid_fan(rng, d)
+                cobs.append(build_cobordism(fan, random_center_sequence(rng, fan)[0]))
+        reached = {d: 0 for d in (1, 2, 3, 4)}
+        kinds = {"impure": 0, "lower-dimensional": 0, "non-unimodular": 0}
+        for cob in cobs:
+            if not validate_fan(cob.fan).ok or _cone_problems(cob):
+                continue
+            if not (validate_fan(cob.bottom).ok and validate_fan(cob.top).ok):
+                continue
+            assert fanmod._first_uncovered(cob.bottom, cob.top) is None, cob.fan.max_cones
+            assert fanmod._first_uncovered(cob.top, cob.bottom) is None, cob.fan.max_cones
+            reached[cob.base_dim] += 1
+            dims = {c.dim for c in cob.fan.max_cones}
+            kinds["impure"] += len(dims) > 1
+            kinds["lower-dimensional"] += any(k <= cob.base_dim for k in dims)
+            kinds["non-unimodular"] += any(maximal_minor_gcd(c.rays) > 1 for c in cob.fan.max_cones)
+        assert min(reached.values()) >= 30 and min(kinds.values()) >= 30, (reached, kinds)
 
 
 # --- bounded time on the deepest octahedral tower ---------------------------------
