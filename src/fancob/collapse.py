@@ -201,19 +201,43 @@ def is_pi_nonsingular(cob: Cobordism) -> tuple[bool, SimplicialCone | None]:
 
 
 def _star_local_pairs(
-    fresh: dict[SimplicialCone, set[Vec]],
+    fresh: dict[SimplicialCone, tuple[set[Vec], set[int]]],
     holders: dict[Vec, set[SimplicialCone]],
 ) -> list[tuple[SimplicialCone, SimplicialCone]]:
     """The cone pairs (a, b) of a front, a before b in fan order, that the
     star-local rule of extract_factorization checks, sorted as combinations
-    of the sorted front: each fresh cone with every other fresh cone and
-    with every cone holding a ray of pi(sigma) for a star cone sigma it
-    comes from.  fresh maps each fresh cone to those rays, holders each ray
-    to the front's cones holding it."""
-    pairs = set(itertools.combinations(fresh, 2))
-    for u, rays in fresh.items():
-        for r in rays:
-            pairs.update((u, c) for c in holders.get(r, ()) if c != u)
+    of the sorted front.  fresh maps each fresh cone u to its dropped rays
+    pi(n) and its source star cones sigma (u = pi(sigma - n)), holders each
+    ray to the front's cones holding it.  u is checked against
+
+    (i) the fresh cones sharing no source with it, and
+    (ii) the old cones holding a dropped ray of u.
+
+    The other pairs holding u pass:
+
+    (a) Let c be an old cone without pi(n).  By step 1 of the proof in
+        extract_factorization, u lies in the union of the lower cones
+        pi(sigma - p), which are cones of the last front.  That front
+        passed, so c meets each of them in the cone on their shared rays
+        S_p.  S_p misses pi(p) and pi(n), so S_p lies in rays(u), and c
+        meets u in the cone on the rays c and u share.  There is no
+        nesting: if u lay in c, some lower cone would meet c in a set of
+        its own dimension, so that lower cone would be nested in c, or
+        equal to it, in the last front.
+    (b) Take two upper faces pi(sigma - n) and pi(sigma - m) of one star
+        cone.  Two expansions of a point in the rays of sigma differ by t
+        times the circuit relation.  The coefficient at n forces t >= 0,
+        and then the coefficient at m forces t = 0, so the faces meet in
+        pi(sigma - {n, m}).
+    """
+    pairs = {
+        (u, v)
+        for (u, (_, su)), (v, (_, sv)) in itertools.combinations(fresh.items(), 2)
+        if su.isdisjoint(sv)
+    }
+    for u, (dropped, _) in fresh.items():
+        for r in dropped:
+            pairs.update((u, c) for c in holders.get(r, ()) if c not in fresh)
     ordered = {(a, b) if a.rays < b.rays else (b, a) for a, b in pairs}
     return sorted(ordered, key=lambda ab: (ab[0].rays, ab[1].rays))
 
@@ -237,39 +261,33 @@ def extract_factorization(cob: Cobordism, elide_identity: bool = False) -> list[
     included, through fan._pair_problem in validate_fan's order.  Every
     later front is the last one, which passed, minus lower plus upper; its
     fresh cones (those outside the last front) are the faces
-    u = pi(sigma - n), sigma in the star and n a negative ray.  When the
-    circuit has a positive ray, u is checked against the other fresh cones
-    and against the old cones sharing a ray with pi(sigma), the primitive
-    projected rays of sigma; no other pair of the new front is checked, as
-    it passes:
+    u = pi(sigma - n), sigma in the star and n a negative ray, and its old
+    pairs passed at an earlier crossing.  When the circuit has a positive
+    ray, u is checked only against the fresh cones from other star cones
+    and the old cones holding a dropped ray pi(n) of u (_star_local_pairs,
+    whose docstring proves that every other pair holding u passes).  The
+    proofs rest on one step:
 
     1. Let x be in u, so x is a nonnegative combination of pi(sigma) with
        coefficient 0 at n.  Subtracting t times the circuit relation
        (positive on Z+, negative on Z-) lowers the coefficients on Z+ and
        raises those on Z-; at the least t where one on some p in Z+ reaches
        0, all are still >= 0, so x lies in pi(sigma - p).  Hence u lies in
-       the union of the lower cones of sigma.
-    2. Those lower cones are cones of the last front (lower <= front is
-       checked above), and every pair of that front passed, so any other
-       cone c of it meets each of them in the cone on their shared rays.
-       An old cone c with no ray in pi(sigma) is no lower cone of sigma and
-       shares no ray with one, so it meets each in {0}.
-    3. So c meets u in {0}, the cone on their (empty) set of shared rays,
-       and neither holds the other: _pair_problem(c, u) is None.  Old
-       pairs passed at an earlier crossing.
+       the union of the lower cones of sigma, and those are cones of the
+       last front (lower <= front is checked above).
 
     The front is one set of cones kept in fan order with its ray -> cones
     index (fan._IndexedCones), kept across crossings: the lower cones leave,
-    the upper ones enter, and the index names the cones sharing a ray with
-    pi(sigma).  The checked pairs (a, b) are sorted by (a.rays, b.rays),
-    which is combinations order over the front in fan order, so a
-    BrokenFan report is exactly the one validate_fan gives for the new
-    front; the full check runs over the ordered list as it stands.  A
-    circuit with no positive ray (degenerate, refused below after the
-    check) keeps the full pair check.  Each FactorStep.result is the
-    ordered list taken as it is by the unchecked Fan._sorted, as the front
-    holds distinct cones of the bottom's dimension in fan order.  Each
-    lifted ray is projected once, and the graph reads the stored circuits.
+    the upper ones enter, and the index names the cones holding pi(n).
+    The checked pairs (a, b) are sorted by (a.rays, b.rays), which is
+    combinations order over the front in fan order, so a BrokenFan report
+    is exactly the one validate_fan gives for the new front; the full
+    check runs over the ordered list as it stands.  A circuit with no
+    positive ray (degenerate, refused below after the check) keeps the
+    full pair check.  Each FactorStep.result is the ordered list taken as
+    it is by the unchecked Fan._sorted, as the front holds distinct cones
+    of the bottom's dimension in fan order.  Each lifted ray is projected
+    once, and the graph reads the stored circuits.
     """
     graph = circuit_graph(cob)
     ok, witness = _collapse_order(graph)
@@ -288,19 +306,21 @@ def extract_factorization(cob: Cobordism, elide_identity: bool = False) -> list[
         circ = graph.circuits[key]
         star = graph.cones[key]
         lower = {projected_face(cone, p) for cone in star for p in circ.pos}
-        # each upper cone with the rays pi(sigma) of the star cones it comes from
-        upper: dict[SimplicialCone, set[Vec]] = {}
-        for cone in star:
-            rays = {down[r] for r in cone.rays}
+        # each upper cone pi(sigma - n) with its dropped rays pi(n) and the
+        # star cones sigma it comes from
+        upper: dict[SimplicialCone, tuple[set[Vec], set[int]]] = {}
+        for i, cone in enumerate(star):
             for n in circ.neg:
-                upper.setdefault(projected_face(cone, n), set()).update(rays)
+                dropped, sources = upper.setdefault(projected_face(cone, n), (set(), set()))
+                dropped.add(down[n])
+                sources.add(i)
         missing = lower - front.cones
         if missing:
             raise FrontMismatch(
                 f"circuit {list(key)} expects front cones {sorted(c.rays for c in missing)}; "
                 "the cobordism is not sequential"
             )
-        fresh = {u: rays for u, rays in upper.items() if u not in front.cones}
+        fresh = {u: made for u, made in upper.items() if u not in front.cones}
         for c in lower:
             front.remove(c)
         for u in upper:

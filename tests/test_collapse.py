@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import collections
 import dataclasses
+import functools
 import itertools
 import random
 from math import comb
@@ -10,7 +12,7 @@ from math import comb
 import pytest
 
 from fancob import fan as fanmod
-from fancob.cobordism import Cobordism, build_cobordism
+from fancob.cobordism import Cobordism, ConeClass, build_cobordism, circuit_class, validate_cobordism
 from fancob.collapse import (
     StepKind,
     _components,
@@ -21,7 +23,7 @@ from fancob.collapse import (
     to_dot,
     transcript,
 )
-from fancob.demos import karu_counterexample
+from fancob.demos import karu_counterexample, run_schedule
 from fancob.errors import BrokenFan, FrontMismatch, InvalidFan, NotCollapsible
 from fancob.exact import primitive
 from fancob.fan import Fan, SimplicialCone, fans_equal, is_smooth, star_subdivide, validate_fan
@@ -65,14 +67,14 @@ class TestCircuitGraph:
     def test_edges_match_the_pair_rule(self, karu, cyclic):
         # the ray -> circuits index gives the edges of the rule tested on
         # every ordered pair of circuits
-        reflected = reflected_karu(karu)
+        mirror = reflected(karu)
         corpus = fixture_cobordisms() + [
-            karu, cyclic, karu_counterexample().cobordism, reflected,
+            karu, cyclic, karu_counterexample().cobordism, mirror,
         ] + seeded_builds() + differential_corpus(karu)
         for cob in corpus:
             graph = circuit_graph(cob)
             assert graph.edges == pair_rule_edges(graph), cob.fan.max_cones
-        assert len(circuit_graph(reflected).edges) == 6
+        assert len(circuit_graph(mirror).edges) == 6
         assert sum(len(circuit_graph(c).edges) for c in corpus) >= 80
 
 
@@ -85,12 +87,12 @@ def pair_rule_edges(graph) -> tuple:
     ))
 
 
-def reflected_karu(karu: Cobordism) -> Cobordism:
-    """The Karu build with every lifted height negated: three blowdowns
-    sharing the positive ray (0,0,1,0), so every circuit points at the
-    other two."""
-    cones = tuple(SimplicialCone(tuple(r[:-1] + (-r[-1],) for r in c.rays)) for c in karu.fan.max_cones)
-    return Cobordism.from_fan(Fan(4, cones), 3)
+def reflected(cob: Cobordism) -> Cobordism:
+    """The cobordism with every lifted height negated.  The reflected Karu
+    build has three blowdowns sharing the positive ray (0,0,1,0), so every
+    circuit points at the other two."""
+    cones = tuple(SimplicialCone(tuple(r[:-1] + (-r[-1],) for r in c.rays)) for c in cob.fan.max_cones)
+    return Cobordism.from_fan(Fan(cob.fan.ambient_dim, cones), cob.base_dim)
 
 
 class TestIsCollapsible:
@@ -257,34 +259,41 @@ def differential_corpus(karu):
     return corpus
 
 
-def star_local_pairs(cob: Cobordism) -> list[list[tuple[SimplicialCone, SimplicialCone]]]:
-    """Per crossing of a cobordism whose fronts are all valid, the cone
-    pairs the star-local rule checks, in combinations order: every pair at
-    the first crossing, then each fresh cone pi(sigma - n) with the other
-    fresh cones and with the old cones holding a ray of pi(sigma)."""
+CHECKED = "checked"
+OLD_APART = "old cone without pi(n)"
+ONE_STAR = "upper faces of one star cone"
+
+
+def star_local_pairs(cob: Cobordism) -> list[dict[str, list[tuple[SimplicialCone, SimplicialCone]]]]:
+    """Per crossing of a cobordism whose fronts are all valid, the pairs of
+    the new front holding a fresh cone, in combinations order, under
+    CHECKED or the reason the star-local rule skips them: every pair is
+    checked at the first crossing, then each fresh cone pi(sigma - n) with
+    the fresh cones from other star cones and the old cones holding pi(n)."""
     graph = circuit_graph(cob)
     _, order = is_collapsible(cob)
     front, out = cob.bottom, []
     for key in order:
         circ, star = graph.circuits[key], graph.cones[key]
         lower = {projected_face(c, p) for c in star for p in circ.pos}
-        near: dict[SimplicialCone, set] = {}
-        for c in star:
+        made: dict[SimplicialCone, set] = {}  # upper cone -> its (star cone, pi(n))
+        for i, c in enumerate(star):
             for n in circ.neg:
-                near.setdefault(projected_face(c, n), set()).update(primitive(r[:-1]) for r in c.rays)
-        new = Fan(front.ambient_dim, tuple((set(front.max_cones) - lower) | set(near)))
-        cones = new.max_cones
-        if not out:
-            out.append(list(itertools.combinations(cones, 2)))
-        else:
-            fresh = set(near) - set(front.max_cones)
-            index = {c: i for i, c in enumerate(cones)}
-            pairs = {
-                tuple(sorted((index[a], index[b])))
-                for a in fresh for b in cones
-                if b != a and (b in fresh or near[a] & set(b.rays))
-            }
-            out.append([(cones[i], cones[j]) for i, j in sorted(pairs)])
+                made.setdefault(projected_face(c, n), set()).add((i, primitive(n[:-1])))
+        new = Fan(front.ambient_dim, tuple((set(front.max_cones) - lower) | set(made)))
+        fresh = set(made) - set(front.max_cones)
+        split = {CHECKED: [], OLD_APART: [], ONE_STAR: []}
+        for a, b in itertools.combinations(new.max_cones, 2):
+            if not out:
+                split[CHECKED].append((a, b))
+            elif a in fresh and b in fresh:
+                shared = {i for i, _ in made[a]} & {i for i, _ in made[b]}
+                split[ONE_STAR if shared else CHECKED].append((a, b))
+            elif a in fresh or b in fresh:
+                u, c = (a, b) if a in fresh else (b, a)
+                holds = any(r in c.rays for _, r in made[u])
+                split[CHECKED if holds else OLD_APART].append((a, b))
+        out.append(split)
         front = new
     return out
 
@@ -299,16 +308,73 @@ def seeded_builds() -> list[Cobordism]:
     return out
 
 
-def down_after_up(extra: SimplicialCone | None = None) -> Cobordism:
-    """A blowup at (-1,-1,-1) in the negative orthant, then the blowdown of
-    (1,1,0) over the positive one (the Down circuit e1 + e2 - (1,1,0));
-    extra, when given, is added to the bottom."""
+@functools.cache
+def upstairs_builds() -> tuple[Cobordism, ...]:
+    """Seeded builds in base dims 2-4, star-subdivided upstairs once or twice
+    at the sum of 2..k rays of a lifted cone (as demos.run_schedule does),
+    and their h -> -h reflections: the valid and collapsible ones.  Their
+    crossings after the first include blowdowns and Up-Down circuits."""
+    out = []
+    for d in (2, 3, 4):
+        rng = random.Random(900 + d)
+        for _ in range(60):
+            lifted = build_cobordism(*random_build(rng, d)).fan
+            for _ in range(rng.randint(1, 2)):
+                cone = rng.choice(lifted.max_cones)
+                rays = rng.sample(cone.rays, rng.randint(2, len(cone.rays)))
+                lifted = run_schedule(lifted, [primitive(tuple(map(sum, zip(*rays))))])
+            up = Cobordism.from_fan(lifted, d)
+            for cob in (up, reflected(up)):
+                if validate_cobordism(cob).ok and is_collapsible(cob)[0]:
+                    out.append(cob)
+    return tuple(out)
+
+
+def _next_to_up(cone: SimplicialCone, extra: SimplicialCone | None) -> Cobordism:
+    """A blowup at (-1,-1,-1) in the negative orthant, crossed first, next
+    to one more lifted cone over the positive orthant; extra, when given,
+    is added to the bottom and the top."""
     up = SimplicialCone(((-1, 0, 0, 0), (0, -1, 0, 0), (0, 0, -1, 0), (-1, -1, -1, 1)))
-    down = SimplicialCone(((1, 0, 0, 2), (0, 1, 0, 2), (1, 1, 0, 0), (0, 0, 1, 0)))
-    cob = Cobordism.from_fan(Fan(4, (up, down)), 3)
+    cob = Cobordism.from_fan(Fan(4, (up, cone)), 3)
     if extra is None:
         return cob
-    return dataclasses.replace(cob, bottom=Fan(3, cob.bottom.max_cones + (extra,)))
+    return dataclasses.replace(
+        cob,
+        bottom=Fan(3, cob.bottom.max_cones + (extra,)),
+        top=Fan(3, cob.top.max_cones + (extra,)),
+    )
+
+
+def down_after_up(extra: SimplicialCone | None = None) -> Cobordism:
+    """The blowup, then the blowdown of (1,1,0) over the positive orthant
+    (the Down circuit e1 + e2 - (1,1,0))."""
+    return _next_to_up(SimplicialCone(((1, 0, 0, 2), (0, 1, 0, 2), (1, 1, 0, 0), (0, 0, 1, 0))), extra)
+
+
+def mixed_after_up(extra: SimplicialCone | None = None) -> Cobordism:
+    """The blowup, then the flip of the Mixed cone of fixtures/mixed.cob (the
+    circuit (1,1,0) + (1,2,2) - (1,1,1) - (1,2,1))."""
+    return _next_to_up(SimplicialCone(((1, 1, 0, 1), (1, 1, 1, 1), (1, 2, 1, 3), (1, 2, 2, 5))), extra)
+
+
+# a cone at the vertex (1,1,1) of the Mixed star's support, outside it
+MIXED_EXTRA = SimplicialCone(((0, 0, 1), (1, 0, 1), (1, 1, 1)))
+
+
+def pair_checks(cob: Cobordism, monkeypatch) -> int:
+    """How many fan._pair_problem calls extract_factorization makes on cob."""
+    real = fanmod._pair_problem
+    calls = 0
+
+    def counting(a, b):
+        nonlocal calls
+        calls += 1
+        return real(a, b)
+
+    with monkeypatch.context() as m:
+        m.setattr(fanmod, "_pair_problem", counting)
+        extract_factorization(cob)
+    return calls
 
 
 class TestIncrementalFrontCheck:
@@ -355,7 +421,9 @@ class TestIncrementalFrontCheck:
 
     def test_star_local_rule(self, karu, monkeypatch):
         # the checked pairs are exactly the rule's, in order; every pair
-        # holding a fresh cone that the rule skips passes the real check
+        # holding a fresh cone that the rule skips passes the real check,
+        # for either reason: an old cone without the dropped ray pi(n), or
+        # two upper faces of one star cone
         real = fanmod._pair_problem
         calls = []
 
@@ -364,21 +432,28 @@ class TestIncrementalFrontCheck:
             return real(a, b)
 
         monkeypatch.setattr(fanmod, "_pair_problem", recording)
-        skipped = 0
-        for cob in differential_corpus(karu) + seeded_builds() + [down_after_up()]:
+        skipped = collections.Counter()  # (circuit class, reason) -> pairs
+        corpus = differential_corpus(karu) + seeded_builds() + list(upstairs_builds()) + [
+            down_after_up(), mixed_after_up(), mixed_after_up(MIXED_EXTRA),
+        ]
+        for cob in corpus:
             calls.clear()
             outcome = incremental_outcome(cob)
             checked = list(calls)
             assert outcome == full_check_outcome(cob)
             expected = star_local_pairs(cob)
-            assert checked == [p for pairs in expected for p in pairs]
-            for last, front, pairs in zip([cob.bottom] + outcome, outcome, expected):
-                fresh = set(front.max_cones) - set(last.max_cones)
-                for a, b in itertools.combinations(front.max_cones, 2):
-                    if (a in fresh or b in fresh) and (a, b) not in pairs:
-                        assert real(a, b) is None
-                        skipped += 1
-        assert skipped >= 400, skipped
+            assert checked == [p for split in expected for p in split[CHECKED]]
+            graph, (_, order) = circuit_graph(cob), is_collapsible(cob)
+            for key, split in zip(order, expected):
+                cls = circuit_class(graph.circuits[key])
+                for reason in (OLD_APART, ONE_STAR):
+                    for a, b in split[reason]:
+                        assert real(a, b) is None, (reason, a, b)
+                    skipped[cls, reason] += len(split[reason])
+        up, down, mixed = ConeClass.UP, ConeClass.DOWN, ConeClass.MIXED
+        assert skipped[up, OLD_APART] >= 1700 and skipped[up, ONE_STAR] >= 390, skipped
+        assert skipped[down, OLD_APART] >= 25 and skipped[mixed, OLD_APART] >= 10, skipped
+        assert skipped[mixed, ONE_STAR] >= 2, skipped
 
     def test_faults_next_to_a_star(self):
         # doctored bottoms that break a front after the first crossing: an
@@ -411,31 +486,46 @@ class TestIncrementalFrontCheck:
         assert text.startswith("front after crossing [(0, 1, 0, 2), (1, 0, 0, 2), (1, 1, 0, 0)] ")
         assert text.endswith("overlap beyond their common face (witness direction (1, 1, 0))")
 
+    def test_cone_at_a_mixed_dropped_ray(self):
+        # a cone holding only the dropped ray pi(n) of a Mixed crossing
+        # cannot break its front: it meets the star's support in that ray
+        # alone, which lies outside pi(sigma - n) when the circuit has two
+        # negative rays; the rule checks it against pi(sigma - n) only
+        cob = mixed_after_up(MIXED_EXTRA)
+        assert validate_fan(cob.bottom).ok
+        expected = full_check_outcome(cob)
+        assert isinstance(expected, list)
+        assert incremental_outcome(cob) == expected
+        flip = star_local_pairs(cob)[1]
+        apart = SimplicialCone(((1, 1, 0), (1, 2, 1), (1, 2, 2)))  # drops (1,1,1)
+        near = SimplicialCone(((1, 1, 0), (1, 1, 1), (1, 2, 2)))  # drops (1,2,1)
+        assert (MIXED_EXTRA, apart) in flip[CHECKED]
+        assert (MIXED_EXTRA, near) in flip[OLD_APART]
+        assert (apart, near) in flip[ONE_STAR] or (near, apart) in flip[ONE_STAR]
+
     def test_pair_check_count(self, monkeypatch):
-        # all pairs at the first crossing, then five per crossing on every
-        # ring: the two fresh cones with each other and with the old cones
-        # on either side, whatever the ring's size
-        real = fanmod._pair_problem
-        calls = 0
-
-        def counting(a, b):
-            nonlocal calls
-            calls += 1
-            return real(a, b)
-
+        # all pairs at the first crossing, then two per crossing on every
+        # ring, whatever its size: each fresh cone with the old cone across
+        # its dropped ray; the two fresh cones share their star cone
         for n in (16, 32, 64):
             cob = ring_cobordism(n)
-            calls = 0
-            monkeypatch.setattr(fanmod, "_pair_problem", counting)
-            assert len(extract_factorization(cob)) == 2 * n
-            monkeypatch.setattr(fanmod, "_pair_problem", real)
-            per_crossing = [len(pairs) for pairs in star_local_pairs(cob)]
+            calls = pair_checks(cob, monkeypatch)
+            per_crossing = [len(split[CHECKED]) for split in star_local_pairs(cob)]
+            assert len(per_crossing) == 2 * n
             assert per_crossing[0] == comb(n + 1, 2)
-            assert set(per_crossing[1:]) == {5}
-            assert calls == sum(per_crossing) == comb(n + 1, 2) + 5 * (2 * n - 1)
-            if n == 16:
-                # the check on every pair holding a fresh cone made 2,089
-                assert calls == 291
+            assert set(per_crossing[1:]) == {2}
+            assert calls == sum(per_crossing) == comb(n + 1, 2) + 2 * (2 * n - 1)
+
+    def test_pair_counts_on_bench_shapes(self, monkeypatch):
+        # the octahedral fan with its first k = 2/4/6 edge midpoints at
+        # default heights, and the ring chains with 8/16/32 cones: a wider
+        # rule shows here before it shows in the timings
+        octa = Fan(3, tuple(_orthant(s) for s in itertools.product((1, -1), repeat=3)))
+        midpoints = [(1, 1, 0), (0, 1, 1), (1, 0, 1), (-1, -1, 0), (0, -1, -1), (-1, 0, -1)]
+        octa_calls = [pair_checks(build_cobordism(octa, midpoints[:k]), monkeypatch) for k in (2, 4, 6)]
+        ring_calls = [pair_checks(ring_cobordism(n), monkeypatch) for n in (8, 16, 32)]
+        assert octa_calls == [59, 89, 125]
+        assert ring_calls == [66, 198, 654]
 
     def test_double_description_count(self, monkeypatch):
         # every pair of the lifted ring fan has a separating facet certificate,
