@@ -53,6 +53,8 @@ def _load_json(path: str):
         raise ParseError(f"no such file: {path}")
     try:
         return json.loads(p.read_text())
+    except OSError as exc:  # an unreadable input is a usage error, like an unwritable output
+        raise ParseError(f"cannot read {path}: {exc.strerror}") from exc
     except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, or too deep
         raise ParseError(f"{path}: {exc}") from exc
 

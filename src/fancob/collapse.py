@@ -16,7 +16,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from .errors import AssertionFailed, BrokenFan, FrontMismatch, InvalidFan, NotCollapsible
-from .exact import Vec, maximal_minor_gcd, primitive
+from .exact import Vec, _minor_gcd_prefixes, primitive
 from . import fan as fanmod
 from .cobordism import (
     Circuit,
@@ -170,10 +170,6 @@ def _collapse_order(graph: CollapseGraph) -> tuple[bool, tuple[CircuitKey, ...]]
     return False, _find_cycle(graph, remaining)
 
 
-def _smooth_projection(face: tuple[Vec, ...]) -> bool:
-    return maximal_minor_gcd([primitive(base_part(r)) for r in face]) == 1
-
-
 def is_pi_nonsingular(cob: Cobordism) -> tuple[bool, SimplicialCone | None]:
     """Every projection-independent face must project to a smooth cone.
 
@@ -184,17 +180,19 @@ def is_pi_nonsingular(cob: Cobordism) -> tuple[bool, SimplicialCone | None]:
     failing face in canonical order over all independent faces.  Failing
     faces are closed upward, so it lies in a failing maximal face, and the
     least failing subset of a face is its shortest failing prefix: a subset
-    leaving the prefix sorts after the prefix ray it skips.
+    leaving the prefix sorts after the prefix ray it skips.  One
+    triangularization of a face gives the minor gcds of all its prefixes;
+    they are running products, so the failing prefixes are the ones from
+    the first gcd above 1 on.
     """
     witness = None
     for cone, circ in zip(cob.fan.max_cones, cob.circuits):
         for v in circ.rays if circ else (None,):
             face = tuple(r for r in cone.rays if r != v)
-            if _smooth_projection(face):
-                continue
-            k = next(k for k in range(1, len(face) + 1) if not _smooth_projection(face[:k]))
-            if witness is None or face[:k] < witness:
-                witness = face[:k]
+            gcds = _minor_gcd_prefixes([primitive(base_part(r)) for r in face])
+            k = gcds.count(1)
+            if k < len(face) and (witness is None or face[:k + 1] < witness):
+                witness = face[:k + 1]
     if witness is None:
         return True, None
     return False, SimplicialCone(witness)

@@ -5,15 +5,20 @@ precision) or Fractions; no floating point anywhere.  All functions are pure
 and deterministic, so results are bit-identical across runs and safe to call
 from any number of threads.
 
-Every elimination goes through one kernel, _reduce: fraction-free
+Every rational elimination goes through one kernel, _reduce: fraction-free
 Gauss-Jordan (Bareiss) elimination in integers.  rank, nullspace_basis,
 kernel_relation, det, solve_in_span and the cone solvers in fan read their
 answers off its reduced rows, pivot columns and common denominator.
+
+The lattice question, the gcd of the maximal minors, has its own pass,
+_minor_gcd_prefixes.  Bareiss row operations keep the rational row span but
+not the lattice the rows generate, so they cannot give that gcd; the pass
+uses unimodular integer column operations instead, which keep every minor
+gcd (Cauchy-Binet).
 """
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -173,25 +178,48 @@ def det(mat) -> int:
     return sign * d if len(piv) == len(red) else 0
 
 
+def _minor_gcd_prefixes(vs) -> list[int]:
+    """Entry j - 1 is the gcd of the maximal minors of the first j vectors.
+
+    Row i runs Euclid on the columns from i rightward, subtracting integer
+    multiples of the column with the smallest nonzero entry until one
+    nonzero column is left, which is swapped into place i.  Rows above i are
+    zero in those columns, so they never change: the matrix ends lower
+    triangular with the same minor gcds as the input (the column operations
+    are unimodular), and the first j rows have minor gcd |L_11 ... L_jj|.
+    A row with nothing left from the diagonal rightward depends on the rows
+    above it, and so does every row past the d-th.
+    """
+    vs = [tuple(v) for v in vs]
+    d = _common_dim(vs)
+    cols = [[v[c] for v in vs] for c in range(d)]
+    out, g = [], 1
+    for i in range(len(vs)):
+        live = [c for c in cols[i:] if c[i]]
+        if not live:  # also once i reaches d
+            raise DependentInput("maximal_minor_gcd needs independent vectors")
+        while len(live) > 1:
+            p = min(live, key=lambda c: abs(c[i]))
+            for c in live:
+                if c is not p:
+                    q = c[i] // p[i]
+                    c[i:] = [x - q * y for x, y in zip(c[i:], p[i:])]
+            live = [c for c in live if c[i]]
+        j = next(j for j in range(i, d) if cols[j][i])
+        cols[i], cols[j] = cols[j], cols[i]
+        g *= abs(cols[i][i])
+        out.append(g)
+    return out
+
+
 def maximal_minor_gcd(vs) -> int:
-    """gcd of the absolute values of all k x k minors of the k x d matrix.
+    """gcd of the absolute values of all k x k minors of the k x d matrix,
+    1 for no vectors, from one triangularization (_minor_gcd_prefixes).
 
     The input vectors must be linearly independent (k <= d).
     """
-    vs = [tuple(v) for v in vs]
-    k = len(vs)
-    if k == 0:
-        return 1
-    d = _common_dim(vs)
-    if k > d or rank(vs) < k:
-        raise DependentInput("maximal_minor_gcd needs independent vectors")
-    g = 0
-    for cols in itertools.combinations(range(d), k):
-        sub = [[v[c] for c in cols] for v in vs]
-        g = gcd(g, abs(det(sub)))
-        if g == 1:
-            return 1
-    return g
+    prefixes = _minor_gcd_prefixes(vs)
+    return prefixes[-1] if prefixes else 1
 
 
 def solve_in_span(vectors, target) -> tuple[Fraction, ...] | None:

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -60,6 +62,20 @@ def random_unimodular(rng: random.Random, size: int = 3, bound: int = 2):
         m = tuple(tuple(rng.randint(-bound, bound) for _ in range(size)) for _ in range(size))
         if abs(det(m)) == 1:
             return m
+
+
+def minor_gcd_oracle(vs) -> int:
+    """gcd of the k x k minors of the k x d matrix, one determinant for each
+    of the C(d, k) choices of columns.  0 for dependent vectors (k > d leaves
+    no choice), 1 for no vectors."""
+    if not vs:
+        return 1
+    g = 0
+    for cols in itertools.combinations(range(len(vs[0])), len(vs)):
+        g = gcd(g, det([[v[c] for c in cols] for v in vs]))
+        if g == 1:
+            break
+    return g
 
 
 def random_smooth_fan(rng: random.Random) -> Fan:

@@ -271,6 +271,20 @@ class TestUnreadableAndUnwritable:
             assert err.startswith(f"error: {path}: ") and err.count("\n") == 1, err
 
     @pytest.mark.parametrize("argv", [
+        ["validate", str(FIXTURES / "p2.fan")],
+        ["collapse", str(FIXTURES / "karu.cob")],
+    ], ids=["fan", "cobordism"])
+    def test_unreadable_document(self, capsys, monkeypatch, argv):
+        # patched rather than chmod-ed: a root process reads any mode
+        def refuse(self, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", str(self))
+
+        monkeypatch.setattr(Path, "read_text", refuse)
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: cannot read {argv[1]}: Permission denied\n"
+
+    @pytest.mark.parametrize("argv", [
         ["factorize", str(FIXTURES / "karu.cob"), "--out"],
         ["build", str(FIXTURES / "cone3.fan"), "--centers", "(1,1,0)", "--out"],
         ["collapse", str(FIXTURES / "karu.cob"), "--dot"],

@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from math import lcm, prod
 
@@ -33,7 +34,7 @@ from fancob.exact import (
     solve_in_span,
 )
 from fancob.fan import SimplicialCone
-from conftest import random_unimodular
+from conftest import minor_gcd_oracle, random_unimodular
 
 
 class TestPrimitive:
@@ -136,6 +137,50 @@ class TestMaximalMinorGcd:
     def test_dependent_input(self):
         with pytest.raises(DependentInput):
             maximal_minor_gcd([(1, 0), (2, 0)])
+
+    def test_mixed_dimensions(self):
+        with pytest.raises(DimensionMismatch):
+            maximal_minor_gcd([(1, 0), (1, 0, 0)])
+
+    def test_prefixes_match_the_minor_loop(self):
+        # every prefix of seeded inputs in dims 1-6, against one determinant
+        # per choice of columns; dependent inputs and k > d included
+        rng = random.Random(13)
+        seen = set()
+        for _ in range(1500):
+            d = rng.randint(1, 6)
+            vs = [tuple(r) for r in _random_matrix(rng, rng.randint(1, d + 1), d)]
+            if rng.random() < 0.3:  # an index of at least 2
+                i = rng.randrange(len(vs))
+                vs[i] = tuple(2 * x for x in vs[i])
+            expected = [minor_gcd_oracle(vs[:j]) for j in range(len(vs) + 1)]
+            for j, g in enumerate(expected):
+                assert _outcome(maximal_minor_gcd, vs[:j]) == (g or DependentInput), vs[:j]
+            if expected[-1]:
+                assert exact._minor_gcd_prefixes(vs) == expected[1:], vs
+            else:
+                with pytest.raises(DependentInput):
+                    exact._minor_gcd_prefixes(vs)
+            g = expected[-1]
+            seen.add("k > d" if len(vs) > d else "dependent" if not g else g == 1)
+        assert seen == {"k > d", "dependent", True, False}
+
+    def test_wide_nonsmooth_input_decides_fast(self):
+        # 10 vectors in dim 20 with index 2^10: the minor loop would run all
+        # C(20, 10) = 184,756 determinants.  The rows are 2 [I | R] under
+        # unimodular column operations, which keep every minor gcd.
+        rng = random.Random(14)
+        rows = [[2 * int(i == j) for j in range(10)] + [2 * rng.randint(-9, 9) for _ in range(10)]
+                for i in range(10)]
+        for _ in range(40):
+            a, b = rng.sample(range(20), 2)
+            c = rng.randint(-3, 3)
+            for row in rows:
+                row[a] += c * row[b]
+        t0 = time.perf_counter()
+        assert exact._minor_gcd_prefixes(rows) == [2**j for j in range(1, 11)]
+        assert maximal_minor_gcd(rows) == 2**10
+        assert time.perf_counter() - t0 < 1.0
 
     def test_permutation_invariance(self):
         rng = random.Random(2)

@@ -32,7 +32,7 @@ from fancob.demos import karu_counterexample, noncollapsible_example
 from fancob.errors import AssertionFailed, DegenerateHeights, DependentInput, InvalidFan
 from fancob.exact import det, kernel_relation, maximal_minor_gcd, primitive, rank, solve_in_span
 from fancob.fan import Fan, SimplicialCone, star_subdivide, validate_fan
-from conftest import FIXTURES, KARU_CENTERS, orthant_fan, random_center_sequence
+from conftest import FIXTURES, KARU_CENTERS, minor_gcd_oracle, orthant_fan, random_center_sequence
 
 # --- reference oracles ------------------------------------------------------------
 
@@ -82,7 +82,7 @@ def oracle_boundary(fan: Fan, side: Side) -> tuple[SimplicialCone, ...]:
 
 def oracle_pi_nonsingular(cob: Cobordism):
     for face in oracle_independent_faces(cob.fan):
-        if maximal_minor_gcd([primitive(r[:-1]) for r in face]) != 1:
+        if minor_gcd_oracle([primitive(r[:-1]) for r in face]) != 1:
             return False, SimplicialCone(face)
     return True, None
 
