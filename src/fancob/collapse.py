@@ -255,16 +255,17 @@ def extract_factorization(cob: Cobordism, elide_identity: bool = False) -> list[
     star's lower faces (one positive ray dropped) for the upper faces (one
     negative ray dropped).  The final front must equal the top fan.
 
-    The first crossing checks every pair of its front, bottom cones
-    included, through fan._pair_problem in validate_fan's order.  Every
+    A bottom that holds fan._complete_certificate has passed before the
+    first crossing; any other bottom is checked with the first front, every
+    pair of it through fan._pair_problem in validate_fan's order.  Every
     later front is the last one, which passed, minus lower plus upper; its
     fresh cones (those outside the last front) are the faces
     u = pi(sigma - n), sigma in the star and n a negative ray, and its old
-    pairs passed at an earlier crossing.  When the circuit has a positive
-    ray, u is checked only against the fresh cones from other star cones
-    and the old cones holding a dropped ray pi(n) of u (_star_local_pairs,
-    whose docstring proves that every other pair holding u passes).  The
-    proofs rest on one step:
+    pairs have passed.  When the circuit has a positive ray, u is checked
+    only against the fresh cones from other star cones and the old cones
+    holding a dropped ray pi(n) of u (_star_local_pairs, whose docstring
+    proves that every other pair holding u passes).  The proofs rest on
+    one step:
 
     1. Let x be in u, so x is a nonnegative combination of pi(sigma) with
        coefficient 0 at n.  Subtracting t times the circuit relation
@@ -298,7 +299,7 @@ def extract_factorization(cob: Cobordism, elide_identity: bool = False) -> list[
         return SimplicialCone._face(tuple(down[r] for r in cone.rays if r != dropped))
 
     front = fanmod._IndexedCones(cob.bottom.max_cones)
-    passed = False  # whether a front has passed its pair check
+    passed = fanmod._complete_certificate(cob.bottom)  # whether the last front is valid
     steps: list[FactorStep] = []
     for key in witness:
         circ = graph.circuits[key]

@@ -37,6 +37,15 @@ stops at the first set that settles its question.  Every step is an
 integer sign test, so a certificate is a proof; only pairs without one take
 the double-description pass (_intersection_generators).
 
+A complete fan skips the pairs altogether.  Its certificate
+(_complete_certificate, the interior-facet characterization of
+triangulations) is linear in the cones: every maximal cone has d rays,
+every facet is a facet of exactly two cones with their opposite rays on
+opposite sides of it, and one interior point lies in one cone only.
+validate_fan tries it first, and extract_factorization starts from a
+certified bottom as from a checked front; any other fan falls through after
+one pass over the facets, to the pairs.
+
 All values are immutable; every operation returns new values.
 """
 
@@ -358,12 +367,71 @@ def _pair_problem(a: SimplicialCone, b: SimplicialCone) -> str | None:
     return None
 
 
-def validate_fan(fan: Fan) -> ValidationReport:
-    """Check the fan axioms pairwise and report every violation.
+def _complete_certificate(fan: Fan) -> bool:
+    """A linear-time proof that the fan is valid and complete, or False.
 
-    Each pair of maximal cones, in combinations order, goes through
-    _pair_problem; the report lists the problems it finds.
+    In ambient dim d >= 2 it holds iff (1) every maximal cone has d rays,
+    (2) every facet (a cone's rays minus one) is a facet of exactly two
+    cones, (3) the rays opposite each facet have opposite signs on its
+    _cone_solver row, and (4) the barycenter of the first cone lies in no
+    other cone.  Facets are counted first; solver rows are read only once
+    every facet is matched.  Then (De Loera-Rambau-Santos, Triangulations,
+    2010, ch. 4; Fulton, Introduction to Toric Varieties, 1993, 1.2):
+
+    - Covering.  Off the facets, let N(x) be the number of cones holding
+      x.  Let W be the union of the (d-2)-faces and of the meets of two
+      distinct facet hyperplanes, finitely many subspaces of codim 2, so
+      the complement of W is connected (d >= 2).  A facet point y off W
+      lies in facets of one hyperplane L only, and only in their relative
+      interiors; a cone holding y on its boundary holds it on such a facet,
+      whose two cones sit on opposite sides of L by (2) and (3).  Crossing L
+      at y leaves N unchanged, so N is constant off the facets and W.  The
+      barycenter b is off every facet: it is interior to the first cone and
+      in no other by (4).  So N = 1 near b, hence everywhere off the facets
+      and W: the cones cover R^d (a closed union holding a dense set) and
+      their interiors are disjoint.
+    - Faces.  Let x be in a cone sigma, in the relative interior of its
+      face on the rays A, and let Q = R^d / span(A).  The cones holding A
+      project to simplicial cones of Q whose facets, the images of the
+      facets holding A, again satisfy (2) and (3), as each row opposite a
+      ray outside A vanishes on A.  So they cover Q a constant M >= 1
+      times (the covering step in Q, or by hand when dim Q <= 1), and near
+      x the cones holding A cover M times.  N = 1 gives M = 1, so a cone
+      holding x without A would overlap them in an open set.  Every cone
+      tau holding x thus holds A, and sigma meets tau in the cone on their
+      shared rays; cones of d distinct rays are never nested.
+
+    The verdict is decided by if, never by assert, and stored nowhere.
     """
+    d, cones = fan.ambient_dim, fan.max_cones
+    if d < 2 or not cones or any(len(c.rays) != d for c in cones):
+        return False
+    sides: dict[tuple[Vec, ...], list] = {}
+    for c in cones:
+        rays = c.rays
+        for i in range(d):
+            sides.setdefault(rays[:i] + rays[i + 1:], []).append((c, i))
+    if any(len(pair) != 2 for pair in sides.values()):
+        return False
+    for (a, i), (b, j) in sides.values():
+        # row i of a pairs to D > 0 with the ray of a opposite the facet
+        if sum(map(mul, _cone_solver(a)[i], b.rays[j])) >= 0:
+            return False
+    first, *rest = cones
+    center = _vec_sum(first.rays)
+    return all(min(_coordinates(c, center)) < 0 for c in rest)
+
+
+def validate_fan(fan: Fan) -> ValidationReport:
+    """Check the fan axioms by certificate, else pairwise, and report every
+    violation.
+
+    A fan that holds _complete_certificate is valid: the report is empty.
+    Otherwise each pair of maximal cones, in combinations order, goes
+    through _pair_problem; the report lists the problems it finds.
+    """
+    if _complete_certificate(fan):
+        return ValidationReport()
     problems = (_pair_problem(a, b) for a, b in itertools.combinations(fan.max_cones, 2))
     return ValidationReport(tuple(p for p in problems if p is not None))
 
@@ -626,7 +694,8 @@ def _int_vector(raw, what: str) -> Vec:
 
 
 def fan_from_doc(doc) -> Fan:
-    """Load a fan document; non-primitive rays are normalized with a warning."""
+    """Load a fan document; non-primitive rays are normalized with a warning.
+    A cone listed twice, in any ray order, is a ParseError."""
     if not isinstance(doc, dict):
         raise ParseError("fan document must be an object")
     try:
@@ -650,7 +719,7 @@ def fan_from_doc(doc) -> Fan:
         if pv != v:
             warnings.warn(f"ray {i} = {v} normalized to {pv}", RayNormalized, stacklevel=2)
         rays.append(pv)
-    cones = []
+    first: dict[SimplicialCone, int] = {}  # each cone -> where it is first listed
     for j, idx in enumerate(raw_cones):
         if not isinstance(idx, list) or not idx:
             raise ParseError(f"max_cones[{j}] must be a non-empty index list")
@@ -658,7 +727,10 @@ def fan_from_doc(doc) -> Fan:
             if isinstance(i, bool) or not isinstance(i, int) or not 0 <= i < len(rays):
                 raise ParseError(f"max_cones[{j}] holds a bad ray index {i!r}")
         try:
-            cones.append(SimplicialCone(tuple(rays[i] for i in idx)))
+            cone = SimplicialCone(tuple(rays[i] for i in idx))
         except (ValueError, DependentInput, DimensionMismatch) as exc:
             raise ParseError(f"max_cones[{j}] is not a simplicial cone: {exc}") from exc
-    return Fan(dim, tuple(cones))
+        earlier = first.setdefault(cone, j)
+        if earlier != j:
+            raise ParseError(f"max_cones[{j}] repeats max_cones[{earlier}]")
+    return Fan(dim, tuple(first))

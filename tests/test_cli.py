@@ -35,6 +35,13 @@ class TestValidate:
         assert code == 1
         assert "overlap" in out and "INVALID" in out
 
+    def test_repeated_cone_is_input_error(self, capsys, tmp_path):
+        path = tmp_path / "twice.fan"
+        path.write_text(json.dumps({"dim": 2, "rays": [[1, 0], [0, 1]], "max_cones": [[0, 1], [1, 0]]}))
+        code, out, err = run(capsys, "validate", str(path))
+        assert code == 2 and not out
+        assert "max_cones[1] repeats max_cones[0]" in err
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "validate", "missing.fan")
         assert code == 2

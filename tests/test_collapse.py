@@ -6,6 +6,7 @@ import collections
 import dataclasses
 import functools
 import itertools
+import json
 import random
 from math import comb
 
@@ -27,7 +28,7 @@ from fancob.demos import karu_counterexample, run_schedule
 from fancob.errors import BrokenFan, FrontMismatch, InvalidFan, NotCollapsible
 from fancob.exact import primitive
 from fancob.fan import Fan, SimplicialCone, fans_equal, is_smooth, star_subdivide, validate_fan
-from conftest import orthant_fan, random_center_sequence, random_smooth_fan, ring_chain
+from conftest import FIXTURES, orthant_fan, random_center_sequence, random_smooth_fan, ring_chain
 from test_facet_boundary import _orthant, fixture_cobordisms, random_build
 
 D1 = tuple(sorted([(1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 1)]))
@@ -268,11 +269,13 @@ def star_local_pairs(cob: Cobordism) -> list[dict[str, list[tuple[SimplicialCone
     """Per crossing of a cobordism whose fronts are all valid, the pairs of
     the new front holding a fresh cone, in combinations order, under
     CHECKED or the reason the star-local rule skips them: every pair is
-    checked at the first crossing, then each fresh cone pi(sigma - n) with
-    the fresh cones from other star cones and the old cones holding pi(n)."""
+    checked at the first crossing unless the bottom holds the complete-fan
+    certificate, then each fresh cone pi(sigma - n) with the fresh cones
+    from other star cones and the old cones holding pi(n)."""
     graph = circuit_graph(cob)
     _, order = is_collapsible(cob)
     front, out = cob.bottom, []
+    certified = fanmod._complete_certificate(cob.bottom)
     for key in order:
         circ, star = graph.circuits[key], graph.cones[key]
         lower = {projected_face(c, p) for c in star for p in circ.pos}
@@ -284,7 +287,7 @@ def star_local_pairs(cob: Cobordism) -> list[dict[str, list[tuple[SimplicialCone
         fresh = set(made) - set(front.max_cones)
         split = {CHECKED: [], OLD_APART: [], ONE_STAR: []}
         for a, b in itertools.combinations(new.max_cones, 2):
-            if not out:
+            if not out and not certified:
                 split[CHECKED].append((a, b))
             elif a in fresh and b in fresh:
                 shared = {i for i, _ in made[a]} & {i for i, _ in made[b]}
@@ -504,28 +507,31 @@ class TestIncrementalFrontCheck:
         assert (apart, near) in flip[ONE_STAR] or (near, apart) in flip[ONE_STAR]
 
     def test_pair_check_count(self, monkeypatch):
-        # all pairs at the first crossing, then two per crossing on every
-        # ring, whatever its size: each fresh cone with the old cone across
-        # its dropped ray; the two fresh cones share their star cone
+        # the complete ring is certified, so two checks per crossing from
+        # the first on, whatever its size: each fresh cone with the old
+        # cone across its dropped ray; the two fresh cones share their star
+        # cone
         for n in (16, 32, 64):
             cob = ring_cobordism(n)
+            assert fanmod._complete_certificate(cob.bottom)
             calls = pair_checks(cob, monkeypatch)
             per_crossing = [len(split[CHECKED]) for split in star_local_pairs(cob)]
             assert len(per_crossing) == 2 * n
-            assert per_crossing[0] == comb(n + 1, 2)
+            assert per_crossing[0] == 2
             assert set(per_crossing[1:]) == {2}
-            assert calls == sum(per_crossing) == comb(n + 1, 2) + 2 * (2 * n - 1)
+            assert calls == sum(per_crossing) == 4 * n
 
     def test_pair_counts_on_bench_shapes(self, monkeypatch):
         # the octahedral fan with its first k = 2/4/6 edge midpoints at
-        # default heights, and the ring chains with 8/16/32 cones: a wider
-        # rule shows here before it shows in the timings
+        # default heights, and the ring chains with 8/16/32 cones, both
+        # certified complete bottoms: a wider rule shows here before it
+        # shows in the timings
         octa = Fan(3, tuple(_orthant(s) for s in itertools.product((1, -1), repeat=3)))
         midpoints = [(1, 1, 0), (0, 1, 1), (1, 0, 1), (-1, -1, 0), (0, -1, -1), (-1, 0, -1)]
         octa_calls = [pair_checks(build_cobordism(octa, midpoints[:k]), monkeypatch) for k in (2, 4, 6)]
         ring_calls = [pair_checks(ring_cobordism(n), monkeypatch) for n in (8, 16, 32)]
-        assert octa_calls == [59, 89, 125]
-        assert ring_calls == [66, 198, 654]
+        assert octa_calls == [26, 56, 92]
+        assert ring_calls == [32, 64, 128]
 
     def test_double_description_count(self, monkeypatch):
         # every pair of the lifted ring fan has a separating facet certificate,
@@ -546,6 +552,46 @@ class TestIncrementalFrontCheck:
         assert fanmod._first_uncovered(cob.bottom, cob.top) is None
         assert fanmod._first_uncovered(cob.top, cob.bottom) is None
         assert len(cob.top.max_cones) == 48 and calls == 96
+
+
+class TestCertifiedInputs:
+    """build_cobordism checks no pair of a complete input, which holds the
+    complete-fan certificate, and extract_factorization crosses its bottom
+    star-locally from the first crossing on; other inputs keep the pair
+    loop in build and the whole-front first crossing."""
+
+    @staticmethod
+    def build_pair_checks(fan, centers, monkeypatch):
+        calls = []
+        real = fanmod._pair_problem
+        with monkeypatch.context() as m:
+            m.setattr(fanmod, "_pair_problem", lambda a, b: calls.append((a, b)) or real(a, b))
+            cob = build_cobordism(fan, centers)
+        return cob, len(calls)
+
+    def test_complete_inputs(self, monkeypatch):
+        octa = Fan(3, tuple(_orthant(s) for s in itertools.product((1, -1), repeat=3)))
+        cases = (ring_chain(16), ring_chain(32), (octa, [(1, 1, 0), (0, 1, 1), (-1, 0, -1)]))
+        for (fan, centers), first in zip(cases, (2, 2, 12)):
+            assert fanmod._complete_certificate(fan)
+            cob, calls = self.build_pair_checks(fan, centers, monkeypatch)
+            assert calls == 0
+            per_crossing = [len(split[CHECKED]) for split in star_local_pairs(cob)]
+            assert pair_checks(cob, monkeypatch) == sum(per_crossing)
+            first_front = extract_factorization(cob)[0].result
+            assert per_crossing[0] == first < comb(len(first_front.max_cones), 2)
+
+    def test_other_inputs(self, monkeypatch):
+        cone3 = fanmod.fan_from_doc(json.loads((FIXTURES / "cone3.fan").read_text()))
+        orthants = Fan(3, tuple(_orthant(s) for s in ((1, 1, 1), (-1, 1, 1), (1, -1, 1), (1, 1, -1))))
+        for fan, centers in ((cone3, [(1, 1, 0), (1, 1, 1)]), (orthants, [(1, 1, 0), (-1, 0, 1), (0, 1, 1)])):
+            assert not fanmod._complete_certificate(fan)
+            cob, calls = self.build_pair_checks(fan, centers, monkeypatch)
+            assert calls == comb(len(fan.max_cones), 2)
+            first_front = extract_factorization(cob)[0].result
+            per_crossing = [len(split[CHECKED]) for split in star_local_pairs(cob)]
+            assert per_crossing[0] == comb(len(first_front.max_cones), 2)
+            assert pair_checks(cob, monkeypatch) == sum(per_crossing)
 
 
 class TestRandomCorpusProperties:

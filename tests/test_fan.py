@@ -867,6 +867,26 @@ class TestDocuments:
             warnings.simplefilter("ignore", RayNormalized)
             fan_from_doc(doc)
 
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"dim": 2, "rays": [[1, 0], [0, 1]], "max_cones": [[0, 1], [1, 0]]}, "max_cones[1] repeats max_cones[0]"),
+            (
+                {"dim": 2, "rays": [[1, 0], [0, 1], [-1, -1]], "max_cones": [[0, 1], [1, 2], [2, 0], [2, 1]]},
+                "max_cones[3] repeats max_cones[1]",
+            ),
+            # two rays that normalize to one make their cones equal
+            ({"dim": 2, "rays": [[1, 0], [2, 0], [0, 1]], "max_cones": [[0, 2], [1, 2]]}, "max_cones[1] repeats max_cones[0]"),
+        ],
+    )
+    def test_repeated_cone_is_a_parse_error(self, doc, message):
+        import warnings
+
+        with pytest.raises(ParseError) as exc, warnings.catch_warnings():
+            warnings.simplefilter("ignore", RayNormalized)
+            fan_from_doc(doc)
+        assert str(exc.value) == message
+
     def test_empty_fan_document(self):
         fan = fan_from_doc({"dim": 2, "rays": [], "max_cones": []})
         assert fan.max_cones == ()
