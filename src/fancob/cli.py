@@ -74,12 +74,8 @@ def load_cobordism(path: str) -> tuple[Cobordism, Fan | None, Fan | None]:
     return cobordism_from_doc(_load_json(path))
 
 
-def _vec_str(v) -> str:
-    return "(" + ",".join(str(x) for x in v) + ")"
-
-
 def _vecs_str(vs) -> str:
-    return " ".join(_vec_str(v) for v in vs) if vs else "-"
+    return " ".join(collapsemod._fmt_vec(v) for v in vs) if vs else "-"
 
 
 def parse_centers(text: str, dim: int):
@@ -209,7 +205,7 @@ def cmd_factorize(path: str, elide_identity: bool = False, out: str | None = Non
         artifacts = (out,)
     lines = [f"{len(steps)} steps"]
     for i, step in enumerate(steps):
-        center = _vec_str(step.center) if step.center is not None else "-"
+        center = collapsemod._fmt_vec(step.center) if step.center is not None else "-"
         lines.append(
             f"[{i}] {step.kind.value} center={center} "
             f"front={len(step.result.max_cones)} cones"
@@ -245,7 +241,7 @@ def cmd_demo(name: str) -> CommandResult:
         summary = report.summary()
         lines = [
             f"maximal cones: {summary['maximal_cones']} (all Up)",
-            "schedule: " + " ".join(_vec_str(c) for c in summary["schedule"]),
+            "schedule: " + " ".join(collapsemod._fmt_vec(c) for c in summary["schedule"]),
             "three-negative cone: " + _vecs_str(report.three_negative_cone.rays),
             "mixed cone: " + _vecs_str(report.mixed_cone.rays),
             "  pos: " + _vecs_str(report.mixed_pos),

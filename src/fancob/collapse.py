@@ -25,7 +25,7 @@ from .cobordism import (
     base_part,
     circuit_class,
 )
-from .fan import Fan, SimplicialCone, ValidationReport
+from .fan import Fan, SimplicialCone
 
 CircuitKey = tuple[Vec, ...]
 
@@ -255,17 +255,15 @@ def extract_factorization(cob: Cobordism, elide_identity: bool = False) -> list[
     star's lower faces (one positive ray dropped) for the upper faces (one
     negative ray dropped).  The final front must equal the top fan.
 
-    A bottom that holds fan._complete_certificate has passed before the
-    first crossing; any other bottom is checked with the first front, every
-    pair of it through fan._pair_problem in validate_fan's order.  Every
-    later front is the last one, which passed, minus lower plus upper; its
-    fresh cones (those outside the last front) are the faces
-    u = pi(sigma - n), sigma in the star and n a negative ray, and its old
-    pairs have passed.  When the circuit has a positive ray, u is checked
-    only against the fresh cones from other star cones and the old cones
-    holding a dropped ray pi(n) of u (_star_local_pairs, whose docstring
-    proves that every other pair holding u passes).  The proofs rest on
-    one step:
+    The bottom goes through validate_fan once (BrokenFan when it fails), so
+    every front is the last one, which passed, minus lower plus upper.  A
+    degenerate circuit (no positive or no negative ray) is refused before
+    its swap.  The fresh cones of a front (those outside the last one) are
+    the faces u = pi(sigma - n), sigma in the star and n a negative ray,
+    and its old pairs have passed.  Each u is checked only against the
+    fresh cones from other star cones and the old cones holding a dropped
+    ray pi(n) of u (_star_local_pairs, whose docstring proves that every
+    other pair holding u passes).  The proofs rest on one step:
 
     1. Let x be in u, so x is a nonnegative combination of pi(sigma) with
        coefficient 0 at n.  Subtracting t times the circuit relation
@@ -280,18 +278,19 @@ def extract_factorization(cob: Cobordism, elide_identity: bool = False) -> list[
     the upper ones enter, and the index names the cones holding pi(n).
     The checked pairs (a, b) are sorted by (a.rays, b.rays), which is
     combinations order over the front in fan order, so a BrokenFan report
-    is exactly the one validate_fan gives for the new front; the full
-    check runs over the ordered list as it stands.  A circuit with no
-    positive ray (degenerate, refused below after the check) keeps the
-    full pair check.  Each FactorStep.result is the ordered list taken as
-    it is by the unchecked Fan._sorted, as the front holds distinct cones
-    of the bottom's dimension in fan order.  Each lifted ray is projected
-    once, and the graph reads the stored circuits.
+    lists its problems in validate_fan's order.  Each FactorStep.result is
+    the ordered list taken as it is by the unchecked Fan._sorted, as the
+    front holds distinct cones of the bottom's dimension in fan order.
+    Each lifted ray is projected once, and the graph reads the stored
+    circuits.
     """
     graph = circuit_graph(cob)
     ok, witness = _collapse_order(graph)
     if not ok:
         raise NotCollapsible(f"circuit graph has the cycle {list(witness)}", witness)
+    report = fanmod.validate_fan(cob.bottom)
+    if not report.ok:
+        raise BrokenFan(f"bottom fan is invalid:\n{report}")
     down = {r: primitive(base_part(r)) for r in cob.fan.rays}
 
     def projected_face(cone: SimplicialCone, dropped: Vec) -> SimplicialCone:
@@ -299,7 +298,6 @@ def extract_factorization(cob: Cobordism, elide_identity: bool = False) -> list[
         return SimplicialCone._face(tuple(down[r] for r in cone.rays if r != dropped))
 
     front = fanmod._IndexedCones(cob.bottom.max_cones)
-    passed = fanmod._complete_certificate(cob.bottom)  # whether the last front is valid
     steps: list[FactorStep] = []
     for key in witness:
         circ = graph.circuits[key]
@@ -319,27 +317,17 @@ def extract_factorization(cob: Cobordism, elide_identity: bool = False) -> list[
                 f"circuit {list(key)} expects front cones {sorted(c.rays for c in missing)}; "
                 "the cobordism is not sequential"
             )
+        kind = _STEP_KIND.get(circuit_class(circ))
+        if kind is None:
+            raise InvalidFan(f"circuit {list(key)} is degenerate: its relation has one sign")
         fresh = {u: made for u, made in upper.items() if u not in front.cones}
         for c in lower:
             front.remove(c)
         for u in upper:
             front.add(u)
-        if passed and circ.pos:
-            pairs = _star_local_pairs(fresh, front.holders)
-        else:
-            pairs = itertools.combinations(front.ordered, 2)
-        problems = []
-        for a, b in pairs:
-            problem = fanmod._pair_problem(a, b)
-            if problem is not None:
-                problems.append(problem)
-        if problems:
-            report = ValidationReport(tuple(problems))
+        report = fanmod._pairs_report(_star_local_pairs(fresh, front.holders))
+        if not report.ok:
             raise BrokenFan(f"front after crossing {list(key)} is invalid:\n{report}")
-        passed = True
-        kind = _STEP_KIND.get(circuit_class(circ))
-        if kind is None:
-            raise InvalidFan(f"circuit {list(key)} is degenerate: its relation has one sign")
         if kind is StepKind.BLOWUP:
             center = down[circ.pos[0]]
         elif kind is StepKind.BLOWDOWN:

@@ -42,9 +42,9 @@ A complete fan skips the pairs altogether.  Its certificate
 triangulations) is linear in the cones: every maximal cone has d rays,
 every facet is a facet of exactly two cones with their opposite rays on
 opposite sides of it, and one interior point lies in one cone only.
-validate_fan tries it first, and extract_factorization starts from a
-certified bottom as from a checked front; any other fan falls through after
-one pass over the facets, to the pairs.
+validate_fan tries it first; any other fan falls through after one pass
+over the facets, to the pairs (_pairs_report, which also reports the pairs
+extract_factorization checks on each front).
 
 All values are immutable; every operation returns new values.
 """
@@ -432,7 +432,12 @@ def validate_fan(fan: Fan) -> ValidationReport:
     """
     if _complete_certificate(fan):
         return ValidationReport()
-    problems = (_pair_problem(a, b) for a, b in itertools.combinations(fan.max_cones, 2))
+    return _pairs_report(itertools.combinations(fan.max_cones, 2))
+
+
+def _pairs_report(pairs) -> ValidationReport:
+    """The problems _pair_problem finds among the cone pairs, in their order."""
+    problems = (_pair_problem(a, b) for a, b in pairs)
     return ValidationReport(tuple(p for p in problems if p is not None))
 
 

@@ -20,6 +20,23 @@ FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 E1, E2, E3 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
 KARU_CENTERS = [(1, 1, 0), (0, 1, 1), (1, 1, 1)]
 
+# .cob documents whose bottoms break the fan axioms: three collapsible
+# circuits over two overlapping cone pairs, and no circuit at all over a
+# cone lying inside another
+INVALID_BOTTOM_DOCS = {
+    "three-circuits": {
+        "base_dim": 2,
+        "rays": [[-2, -1, 1], [-2, -1, 3], [-2, 2, 3], [-1, 1, 2], [-1, 1, 3],
+                 [-1, 2, 1], [1, -1, 2], [1, 1, 1], [2, 2, 1]],
+        "max_cones": [[0, 1, 6], [2, 3, 7], [4, 5, 8]],
+    },
+    "no-circuit": {
+        "base_dim": 2,
+        "rays": [[1, 0, 0], [0, 1, 0], [1, 1, 0]],
+        "max_cones": [[0, 1], [0, 2]],
+    },
+}
+
 
 def orthant_fan() -> Fan:
     return Fan(3, (SimplicialCone((E1, E2, E3)),))

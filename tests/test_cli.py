@@ -15,7 +15,7 @@ import pytest
 import fancob
 from fancob.cli import main, parse_centers
 from fancob.errors import ParseError
-from conftest import FIXTURES
+from conftest import FIXTURES, INVALID_BOTTOM_DOCS
 
 
 def run(capsys, *argv):
@@ -185,6 +185,19 @@ class TestFactorize:
         steps = json.loads(out)["steps"]
         assert code == 0
         assert [(s["kind"], s["center"]) for s in steps] == [("flip", None)]
+
+    @pytest.mark.parametrize("name", sorted(INVALID_BOTTOM_DOCS))
+    def test_invalid_bottom(self, capsys, tmp_path, name):
+        path = tmp_path / f"{name}.cob"
+        path.write_text(json.dumps(INVALID_BOTTOM_DOCS[name]))
+        code, out, _ = run(capsys, "factorize", str(path))
+        assert code == 1
+        assert out.startswith("error: BrokenFan: bottom fan is invalid:\n- ")
+        code, out, _ = run(capsys, "--json", "factorize", str(path))
+        assert code == 1
+        report = json.loads(out)
+        assert report["error"] == "BrokenFan"
+        assert report["message"].startswith("bottom fan is invalid:\n- ")
 
     def test_transcript_artifact(self, capsys, tmp_path):
         out_path = tmp_path / "steps.json"

@@ -13,7 +13,14 @@ from math import comb
 import pytest
 
 from fancob import fan as fanmod
-from fancob.cobordism import Cobordism, ConeClass, build_cobordism, circuit_class, validate_cobordism
+from fancob.cobordism import (
+    Cobordism,
+    ConeClass,
+    build_cobordism,
+    circuit_class,
+    cobordism_from_doc,
+    validate_cobordism,
+)
 from fancob.collapse import (
     StepKind,
     _components,
@@ -28,7 +35,7 @@ from fancob.demos import karu_counterexample, run_schedule
 from fancob.errors import BrokenFan, FrontMismatch, InvalidFan, NotCollapsible
 from fancob.exact import primitive
 from fancob.fan import Fan, SimplicialCone, fans_equal, is_smooth, star_subdivide, validate_fan
-from conftest import FIXTURES, orthant_fan, random_center_sequence, random_smooth_fan, ring_chain
+from conftest import FIXTURES, INVALID_BOTTOM_DOCS, orthant_fan, random_center_sequence, random_smooth_fan, ring_chain
 from test_facet_boundary import _orthant, fixture_cobordisms, random_build
 
 D1 = tuple(sorted([(1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 1)]))
@@ -198,19 +205,47 @@ class TestExtractFactorization:
         with pytest.raises(InvalidFan, match="circuit .* is degenerate"):
             extract_factorization(cob)
 
+    def test_degenerate_circuit_refused_before_its_swap(self):
+        # a circuit with no positive ray over a bottom cone inside one of
+        # its upper faces: the front after the swap would break, but the
+        # circuit is refused first
+        sigma = SimplicialCone(((1, 0, -1), (-1, 0, -1), (0, 1, 0)))
+        cob = Cobordism.from_fan(Fan(3, (sigma,)), 2)
+        assert cob.circuits[0].pos == ()
+        extra = SimplicialCone(((1, 1), (1, 2)))
+        doctored = dataclasses.replace(cob, bottom=Fan(2, (extra,)))
+        assert validate_fan(doctored.bottom).ok
+        assert not validate_fan(Fan(2, cob.top.max_cones + (extra,))).ok
+        with pytest.raises(InvalidFan, match="circuit .* is degenerate"):
+            extract_factorization(doctored)
+
+    @pytest.mark.parametrize("name", sorted(INVALID_BOTTOM_DOCS))
+    def test_invalid_bottom(self, name):
+        cob, _, _ = cobordism_from_doc(INVALID_BOTTOM_DOCS[name])
+        assert is_collapsible(cob)[0]
+        report = validate_fan(cob.bottom)
+        assert not report.ok
+        with pytest.raises(BrokenFan) as exc:
+            extract_factorization(cob)
+        assert str(exc.value) == f"bottom fan is invalid:\n{report}"
+
     def test_front_mismatch(self, karu):
         doctored = dataclasses.replace(karu, bottom=karu.top)
         with pytest.raises(FrontMismatch):
             extract_factorization(doctored)
 
     def test_broken_fan(self, karu):
-        # an extra overlapping cone in the front makes the first new front invalid
+        # an extra cone inside the orthant makes the bottom invalid, which
+        # is refused before the first crossing
         extra = SimplicialCone(((1, 0, 0), (0, 1, 0), (1, 1, 1)))
         doctored = dataclasses.replace(
             karu, bottom=Fan(3, karu.bottom.max_cones + (extra,))
         )
-        with pytest.raises(BrokenFan):
+        with pytest.raises(BrokenFan) as exc:
             extract_factorization(doctored)
+        report = validate_fan(doctored.bottom)
+        assert not report.ok
+        assert str(exc.value) == f"bottom fan is invalid:\n{report}"
 
 
 def projected_face(cone: SimplicialCone, dropped) -> SimplicialCone:
@@ -224,12 +259,15 @@ def ring_cobordism(n: int) -> Cobordism:
 
 
 def full_check_outcome(cob: Cobordism):
-    """The fronts extract_factorization walks, each checked whole by
-    validate_fan: the list of fronts, or the BrokenFan text of the first
-    invalid one."""
+    """The bottom and the fronts extract_factorization walks, each checked
+    whole by validate_fan: the list of fronts, or the BrokenFan text of the
+    first invalid fan."""
     graph = circuit_graph(cob)
     ok, order = is_collapsible(cob)
     assert ok
+    report = validate_fan(cob.bottom)
+    if not report.ok:
+        return f"bottom fan is invalid:\n{report}"
     front, fronts = cob.bottom, []
     for key in order:
         circ, star = graph.circuits[key], graph.cones[key]
@@ -268,14 +306,12 @@ ONE_STAR = "upper faces of one star cone"
 def star_local_pairs(cob: Cobordism) -> list[dict[str, list[tuple[SimplicialCone, SimplicialCone]]]]:
     """Per crossing of a cobordism whose fronts are all valid, the pairs of
     the new front holding a fresh cone, in combinations order, under
-    CHECKED or the reason the star-local rule skips them: every pair is
-    checked at the first crossing unless the bottom holds the complete-fan
-    certificate, then each fresh cone pi(sigma - n) with the fresh cones
-    from other star cones and the old cones holding pi(n)."""
+    CHECKED or the reason the star-local rule skips them: from the first
+    crossing on, each fresh cone pi(sigma - n) is checked with the fresh
+    cones from other star cones and the old cones holding pi(n)."""
     graph = circuit_graph(cob)
     _, order = is_collapsible(cob)
     front, out = cob.bottom, []
-    certified = fanmod._complete_certificate(cob.bottom)
     for key in order:
         circ, star = graph.circuits[key], graph.cones[key]
         lower = {projected_face(c, p) for c in star for p in circ.pos}
@@ -287,9 +323,7 @@ def star_local_pairs(cob: Cobordism) -> list[dict[str, list[tuple[SimplicialCone
         fresh = set(made) - set(front.max_cones)
         split = {CHECKED: [], OLD_APART: [], ONE_STAR: []}
         for a, b in itertools.combinations(new.max_cones, 2):
-            if not out and not certified:
-                split[CHECKED].append((a, b))
-            elif a in fresh and b in fresh:
+            if a in fresh and b in fresh:
                 shared = {i for i, _ in made[a]} & {i for i, _ in made[b]}
                 split[ONE_STAR if shared else CHECKED].append((a, b))
             elif a in fresh or b in fresh:
@@ -299,6 +333,14 @@ def star_local_pairs(cob: Cobordism) -> list[dict[str, list[tuple[SimplicialCone
         out.append(split)
         front = new
     return out
+
+
+def bottom_pairs(cob: Cobordism) -> list[tuple[SimplicialCone, SimplicialCone]]:
+    """The pairs validate_fan checks on the bottom, in combinations order:
+    none when it holds the complete-fan certificate."""
+    if fanmod._complete_certificate(cob.bottom):
+        return []
+    return list(itertools.combinations(cob.bottom.max_cones, 2))
 
 
 def seeded_builds() -> list[Cobordism]:
@@ -381,9 +423,10 @@ def pair_checks(cob: Cobordism, monkeypatch) -> int:
 
 
 class TestIncrementalFrontCheck:
-    """extract_factorization checks only pairs holding a fresh cone, and
-    after the first crossing only those the star-local rule names; its
-    verdicts and BrokenFan texts must be those of whole-front validate_fan."""
+    """extract_factorization checks the bottom with validate_fan, then on
+    each front only the pairs holding a fresh cone that the star-local rule
+    names; its verdicts and BrokenFan texts must be those of whole-front
+    validate_fan."""
 
     def test_valid_fronts_agree(self, karu):
         for cob in differential_corpus(karu):
@@ -423,10 +466,11 @@ class TestIncrementalFrontCheck:
         assert steps >= 200, steps
 
     def test_star_local_rule(self, karu, monkeypatch):
-        # the checked pairs are exactly the rule's, in order; every pair
-        # holding a fresh cone that the rule skips passes the real check,
-        # for either reason: an old cone without the dropped ray pi(n), or
-        # two upper faces of one star cone
+        # the checked pairs are exactly the bottom's (none when certified)
+        # and then the rule's, in order; every pair holding a fresh cone
+        # that the rule skips passes the real check, for either reason: an
+        # old cone without the dropped ray pi(n), or two upper faces of one
+        # star cone
         real = fanmod._pair_problem
         calls = []
 
@@ -445,7 +489,7 @@ class TestIncrementalFrontCheck:
             checked = list(calls)
             assert outcome == full_check_outcome(cob)
             expected = star_local_pairs(cob)
-            assert checked == [p for split in expected for p in split[CHECKED]]
+            assert checked == bottom_pairs(cob) + [p for split in expected for p in split[CHECKED]]
             graph, (_, order) = circuit_graph(cob), is_collapsible(cob)
             for key, split in zip(order, expected):
                 cls = circuit_class(graph.circuits[key])
@@ -557,8 +601,9 @@ class TestIncrementalFrontCheck:
 class TestCertifiedInputs:
     """build_cobordism checks no pair of a complete input, which holds the
     complete-fan certificate, and extract_factorization crosses its bottom
-    star-locally from the first crossing on; other inputs keep the pair
-    loop in build and the whole-front first crossing."""
+    star-locally from the first crossing on; other inputs take the pair
+    loop once in build and once on the bottom in extract, which then
+    crosses star-locally from the first crossing on as well."""
 
     @staticmethod
     def build_pair_checks(fan, centers, monkeypatch):
@@ -584,14 +629,15 @@ class TestCertifiedInputs:
     def test_other_inputs(self, monkeypatch):
         cone3 = fanmod.fan_from_doc(json.loads((FIXTURES / "cone3.fan").read_text()))
         orthants = Fan(3, tuple(_orthant(s) for s in ((1, 1, 1), (-1, 1, 1), (1, -1, 1), (1, 1, -1))))
-        for fan, centers in ((cone3, [(1, 1, 0), (1, 1, 1)]), (orthants, [(1, 1, 0), (-1, 0, 1), (0, 1, 1)])):
+        cases = ((cone3, [(1, 1, 0), (1, 1, 1)]), (orthants, [(1, 1, 0), (-1, 0, 1), (0, 1, 1)]))
+        for (fan, centers), total in zip(cases, (4, 29)):
             assert not fanmod._complete_certificate(fan)
             cob, calls = self.build_pair_checks(fan, centers, monkeypatch)
             assert calls == comb(len(fan.max_cones), 2)
             first_front = extract_factorization(cob)[0].result
             per_crossing = [len(split[CHECKED]) for split in star_local_pairs(cob)]
-            assert per_crossing[0] == comb(len(first_front.max_cones), 2)
-            assert pair_checks(cob, monkeypatch) == sum(per_crossing)
+            assert per_crossing[0] < comb(len(first_front.max_cones), 2)
+            assert pair_checks(cob, monkeypatch) == comb(len(fan.max_cones), 2) + sum(per_crossing) == total
 
 
 class TestRandomCorpusProperties:

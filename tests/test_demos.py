@@ -22,9 +22,10 @@ from fancob.demos import (
     positive_link_centers,
     run_schedule,
 )
-from fancob.errors import EqualRays, NotAllPointingUp
+from fancob import fan as fanmod
+from fancob.errors import BrokenFan, EqualRays, NotAllPointingUp
 from fancob.exact import primitive
-from fancob.fan import Fan, SimplicialCone, supports_equal
+from fancob.fan import Fan, SimplicialCone, supports_equal, validate_fan
 from conftest import random_unimodular
 
 MU1 = (2, 1, 1, 3)
@@ -116,6 +117,27 @@ class TestRunSchedule:
 
         final = run_schedule(karu.fan, [MU1, MU2, ZETA1, ZETA2])
         assert supports_equal(karu.fan, final)
+
+    def test_validates_the_input_once(self, karu, monkeypatch):
+        # a star subdivision of a valid fan is valid, so only the input is
+        # checked, once per call, whatever the number of centers
+        calls = []
+        with monkeypatch.context() as m:
+            m.setattr(fanmod, "validate_fan", lambda fan: calls.append(fan) or validate_fan(fan))
+            final = run_schedule(karu.fan, [MU1, MU2, ZETA1, ZETA2])
+            assert calls == [karu.fan]
+            calls.clear()
+            assert run_schedule(karu.fan, []) == karu.fan
+            assert calls == [karu.fan]
+        assert validate_fan(final).ok
+
+    def test_invalid_input(self):
+        overlap = Fan(2, (SimplicialCone(((1, 0), (0, 1))), SimplicialCone(((1, 1), (1, -1)))))
+        report = validate_fan(overlap)
+        assert not report.ok
+        with pytest.raises(BrokenFan) as exc:
+            run_schedule(overlap, [(1, 0)])
+        assert str(exc.value) == f"input fan is invalid:\n{report}"
 
 
 class TestKaruCounterexample:
