@@ -60,7 +60,6 @@ from .cobordism import (
     classify,
     cobordism_from_doc,
     cobordism_to_doc,
-    project,
     validate_cobordism,
 )
 from .collapse import (

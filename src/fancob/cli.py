@@ -43,7 +43,6 @@ from .fan import Fan, fan_from_doc, validate_fan
 class CommandResult:
     exit_code: int
     report: dict
-    artifacts: tuple[str, ...] = ()
     lines: list[str] = field(default_factory=list)
 
 
@@ -168,10 +167,8 @@ def cmd_collapse(path: str, dot: str | None = None) -> CommandResult:
     cob, _, _ = load_cobordism(path)
     graph = collapsemod.circuit_graph(cob)
     ok, witness = collapsemod._collapse_order(graph)
-    artifacts = ()
     if dot:
         _write(dot, collapsemod.to_dot(graph))
-        artifacts = (dot,)
     lines = [f"circuit graph: {len(graph.nodes)} nodes, {len(graph.edges)} edges"]
     if ok:
         lines.append("collapsible: yes")
@@ -185,7 +182,7 @@ def cmd_collapse(path: str, dot: str | None = None) -> CommandResult:
         "nodes": len(graph.nodes),
         "edges": len(graph.edges),
     }
-    return CommandResult(exit_code=0 if ok else 1, report=report, artifacts=artifacts, lines=lines)
+    return CommandResult(exit_code=0 if ok else 1, report=report, lines=lines)
 
 
 def cmd_factorize(path: str, elide_identity: bool = False, out: str | None = None) -> CommandResult:
@@ -199,10 +196,8 @@ def cmd_factorize(path: str, elide_identity: bool = False, out: str | None = Non
             lines=[f"error: {type(exc).__name__}: {exc}"],
         )
     doc = collapsemod.transcript(steps)
-    artifacts = ()
     if out:
         _write(out, json.dumps(doc, indent=2, sort_keys=True) + "\n")
-        artifacts = (out,)
     lines = [f"{len(steps)} steps"]
     for i, step in enumerate(steps):
         center = collapsemod._fmt_vec(step.center) if step.center is not None else "-"
@@ -210,7 +205,7 @@ def cmd_factorize(path: str, elide_identity: bool = False, out: str | None = Non
             f"[{i}] {step.kind.value} center={center} "
             f"front={len(step.result.max_cones)} cones"
         )
-    return CommandResult(exit_code=0, report=doc, artifacts=artifacts, lines=lines)
+    return CommandResult(exit_code=0, report=doc, lines=lines)
 
 
 def cmd_build(path: str, centers: str, out: str | None = None) -> CommandResult:
@@ -230,7 +225,6 @@ def cmd_build(path: str, centers: str, out: str | None = None) -> CommandResult:
     return CommandResult(
         exit_code=0,
         report={"maximal_cones": len(cob.fan.max_cones), "census": census, "out": out},
-        artifacts=(out,),
         lines=lines,
     )
 

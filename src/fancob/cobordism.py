@@ -27,7 +27,7 @@ from .errors import (
     NotInSupport,
     ParseError,
 )
-from .exact import Vec, primitive, rank
+from .exact import Vec, primitive
 from . import fan as fanmod
 from .fan import Fan, SimplicialCone, ValidationReport, fan_from_doc, fan_to_doc
 
@@ -48,13 +48,6 @@ class ConeClass(enum.Enum):
 
 def base_part(v: Vec) -> Vec:
     return v[:-1]
-
-
-def project(cone: SimplicialCone) -> tuple[tuple[Vec, ...], bool]:
-    """Projected generators (height dropped, not re-primitivized) and whether
-    they are linearly independent."""
-    projs = tuple(base_part(r) for r in cone.rays)
-    return projs, rank(projs) == len(projs)
 
 
 @dataclass(frozen=True)
@@ -187,26 +180,31 @@ def boundary(fan: Fan, side: Side) -> tuple[SimplicialCone, ...]:
     On a fan that fails validate_fan the same rule runs; its faces are then
     the rule's and carry no such guarantee.
     """
-    return _boundary(fan, [circuit_of(c) for c in fan.max_cones], side)
+    lower, upper = _boundaries(fan, [circuit_of(c) for c in fan.max_cones])
+    return lower if side is Side.LOWER else upper
 
 
-def _boundary(fan: Fan, circuits: list[Circuit | None], side: Side) -> tuple[SimplicialCone, ...]:
-    """boundary, given circuit_of of each maximal cone in fan order."""
+def _boundaries(fan: Fan, circuits: list[Circuit | None]) -> tuple[tuple[SimplicialCone, ...], ...]:
+    """(lower, upper) boundary, given circuit_of of each maximal cone in fan
+    order: one ray -> cone-index map and one pass over the cones give both
+    sides."""
     holders: dict[Vec, set[int]] = {}
     for i, cone in enumerate(fan.max_cones):
         for r in cone.rays:
             holders.setdefault(r, set()).add(i)
-    faces = []
+    lower, upper = [], []
     for i, (cone, circ) in enumerate(zip(fan.max_cones, circuits)):
         if circ is None:
-            faces.append(cone.rays)
+            lower.append(cone.rays)
+            upper.append(cone.rays)
             continue
-        for v in circ.pos if side is Side.LOWER else circ.neg:
-            face = tuple(r for r in cone.rays if r != v)
-            if set.intersection(*(holders[r] for r in face)) == {i}:
-                faces.append(face)
+        for side, rays in ((lower, circ.pos), (upper, circ.neg)):
+            for v in rays:
+                face = tuple(r for r in cone.rays if r != v)
+                if set.intersection(*(holders[r] for r in face)) == {i}:
+                    side.append(face)
     # each face is a subset of its cone's rays
-    return tuple(SimplicialCone._face(f) for f in sorted(faces))
+    return tuple(tuple(SimplicialCone._face(f) for f in sorted(faces)) for faces in (lower, upper))
 
 
 def _projected_fan(faces, base_dim: int) -> Fan:
@@ -268,7 +266,7 @@ class Cobordism:
         """The cobordism of a lifted fan of dim base_dim + 1 >= 2 without
         vertical rays, given the circuit of each maximal cone in fan order
         (each caller says why they are those of circuit_of)."""
-        lower, upper = _boundary(fan, circuits, Side.LOWER), _boundary(fan, circuits, Side.UPPER)
+        lower, upper = _boundaries(fan, circuits)
         return cls(
             base_dim=base_dim,
             fan=fan,
@@ -337,8 +335,14 @@ def validate_cobordism(
 def build_cobordism(delta: Fan, centers, heights=None) -> Cobordism:
     """Record a star-subdivision sequence as a cobordism over the input fan.
 
-    Rays of the input fan sit at height 0 and the t-th center at heights[t]
-    (1, 2, 3, ... by default).  Each step lifts the star it subdivides,
+    Rays of the input fan sit at height 0 and the t-th center at heights[t].
+    By default each center gets the least integer height above the last
+    one (0 before the first) that clears the running graph sheet there,
+    max(last + 1, floor(g_t(c_t)) + 1) in the notation below.  When the
+    k-th center clears the sheet at height k for every k, these are the
+    heights 1, 2, 3, ....  Explicit heights must be positive and strictly
+    increasing, and one on or below the sheet at its center raises
+    DegenerateHeights.  Each step lifts the star it subdivides,
     joining each cone to the lifted center; the input fan's cones left in
     the final fan enter at height 0 so that the bottom always projects back
     to the input fan.
@@ -426,15 +430,14 @@ def build_cobordism(delta: Fan, centers, heights=None) -> Cobordism:
             raise DimensionMismatch(
                 f"center {c} has dim {len(c)}, fan has dim {delta.ambient_dim}"
             )
-    if heights is None:
-        heights = list(range(1, len(centers) + 1))
-    heights = [operator.index(h) for h in heights]
-    if len(heights) != len(centers):
-        raise ValueError("one height per center required")
-    if any(h <= 0 for h in heights) or any(
-        a >= b for a, b in zip(heights, heights[1:])
-    ):
-        raise ValueError("heights must be positive and strictly increasing")
+    if heights is not None:
+        heights = [operator.index(h) for h in heights]
+        if len(heights) != len(centers):
+            raise ValueError("one height per center required")
+        if any(h <= 0 for h in heights) or any(
+            a >= b for a, b in zip(heights, heights[1:])
+        ):
+            raise ValueError("heights must be positive and strictly increasing")
 
     report = fanmod.validate_fan(delta)
     if not report.ok:
@@ -443,7 +446,8 @@ def build_cobordism(delta: Fan, centers, heights=None) -> Cobordism:
     running = fanmod._IndexedCones(delta.max_cones)  # the running fan's cones
     start = None  # where the next point location walks from
     lifted: dict[SimplicialCone, Circuit | None] = {}  # each lifted cone's circuit
-    for center, h in zip(centers, heights):
+    h = 0
+    for t, center in enumerate(centers):
         # height_of holds exactly the running fan's rays
         if center in height_of:
             raise CenterAlreadyRay(f"center {center} is already a ray")
@@ -455,6 +459,8 @@ def build_cobordism(delta: Fan, centers, heights=None) -> Cobordism:
         # cones dip into the ones already recorded
         d = sum(map(mul, fanmod._cone_solver(found)[0], found.rays[0]))
         sheet = sum(s * height_of[r] for s, r in zip(coords, found.rays))
+        # by default the least height above the last one that clears the sheet
+        h = max(h + 1, sheet // d + 1) if heights is None else heights[t]
         if h * d <= sheet:
             raise DegenerateHeights(
                 f"center {center} lifts to height {h}, but the recorded fan "

@@ -104,25 +104,22 @@ def circuit_graph(cob: Cobordism) -> CollapseGraph:
     )
 
 
-def _find_cycle(graph: CollapseGraph, remaining: set[CircuitKey]) -> tuple[CircuitKey, ...]:
-    """One directed cycle among the given nodes.
+def _find_cycle(graph: CollapseGraph) -> tuple[CircuitKey, ...]:
+    """One directed cycle of a cyclic graph, rotated to its least node.
 
-    Nodes without a successor in the set cannot lie on a cycle and are
-    trimmed first, so the walk always has somewhere to go and must close.
+    The walk starts at the least node of a strongly connected component
+    with more than one node (_components, the pass to_dot reads) and steps
+    to the least successor in that component, which always exists, so it
+    must close.
     """
-    rem = set(remaining)
-    changed = True
-    while changed:
-        changed = False
-        for n in sorted(rem):
-            if not any(b in rem for b in graph.successors(n)):
-                rem.discard(n)
-                changed = True
-    start = min(rem)
+    comp = _components(graph)
+    # the graph has no loops, so a node has a successor in its own
+    # component exactly when that component has more than one node
+    start = min(n for n in graph.nodes if any(comp[b] == comp[n] for b in graph.successors(n)))
     path = [start]
     seen = {start: 0}
     while True:
-        nxt = min(b for b in graph.successors(path[-1]) if b in rem)
+        nxt = min(b for b in graph.successors(path[-1]) if comp[b] == comp[start])
         if nxt in seen:
             cycle = tuple(path[seen[nxt]:])
             pivot = cycle.index(min(cycle))
@@ -133,7 +130,8 @@ def _find_cycle(graph: CollapseGraph, remaining: set[CircuitKey]) -> tuple[Circu
 
 def is_collapsible(cob: Cobordism) -> tuple[bool, tuple[CircuitKey, ...]]:
     """(True, topological order) when the circuit graph is acyclic, else
-    (False, one directed cycle).
+    (False, one directed cycle from the strongly connected components, see
+    _find_cycle).
 
     Ties between order-incomparable circuits break by the lowest height of
     their positive rays, so the crossing order walks the cobordism bottom to
@@ -166,8 +164,7 @@ def _collapse_order(graph: CollapseGraph) -> tuple[bool, tuple[CircuitKey, ...]]
                 heapq.heappush(ready, (level(b), b))
     if len(order) == len(graph.nodes):
         return True, tuple(order)
-    remaining = {n for n in graph.nodes if n not in set(order)}
-    return False, _find_cycle(graph, remaining)
+    return False, _find_cycle(graph)
 
 
 def is_pi_nonsingular(cob: Cobordism) -> tuple[bool, SimplicialCone | None]:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import AssertionFailed, EqualRays, BrokenFan, NotAllPointingUp, NotCollapsible
-from .exact import Vec, nonneg_combination, primitive
+from .exact import Vec, primitive
 from . import fan as fanmod
 from .cobordism import (
     Cobordism,
@@ -74,8 +74,9 @@ def positive_link_centers(cob: Cobordism) -> list[ScheduleEntry]:
             positive = circ.pos[0]
             for link in circ.link:
                 center = midray(positive, link)
-                coords = nonneg_combination((positive, link), center)
-                if coords is None or not all(c > 0 for c in coords):
+                # two distinct rays of a simplicial cone
+                face = SimplicialCone._face((positive, link))
+                if fanmod._positive_rays(face, center) != face.rays:
                     raise AssertionFailed(
                         f"schedule center {center} is not in the open 2-face on {positive}, {link}"
                     )
@@ -185,8 +186,8 @@ def karu_counterexample(base_change=None) -> DemoReport:
         primitive(_apply(u, (0, 0, 1))),
     }
     three_negative = None
-    midway = Cobordism.from_fan(after_midrays, cob.base_dim)
-    for cone, circ in zip(midway.fan.max_cones, midway.circuits):
+    for cone in after_midrays.max_cones:
+        circ = circuit_of(cone)
         if circuit_class(circ) is not ConeClass.UP:
             continue
         if len(circ.neg) == 3 and {
@@ -224,9 +225,8 @@ def karu_counterexample(base_change=None) -> DemoReport:
     )
 
     # final is valid and |final| = |cob.fan|, so this suffices (validate_cobordism)
-    final_cob = Cobordism.from_fan(final, cob.base_dim)
     _require(
-        all(circuit_class(c) is not ConeClass.DEGENERATE for c in final_cob.circuits),
+        all(circuit_class(circuit_of(c)) is not ConeClass.DEGENERATE for c in final.max_cones),
         "subdividing upstairs must not move the boundary supports",
     )
 

@@ -226,6 +226,22 @@ class TestBuild:
         shipped = json.loads((FIXTURES / "karu.cob").read_text())
         assert written == shipped
 
+    def test_build_nested_centers(self, capsys, tmp_path):
+        # (3,2) = (1,1) + (2,1) sits on the sheet at height 3, so the
+        # default heights lift it to 4
+        out_path = tmp_path / "p2.cob"
+        code, _, _ = run(
+            capsys, "build", str(FIXTURES / "p2.fan"),
+            "--centers", "(1,1);(2,1);(3,2)", "--out", str(out_path),
+        )
+        assert code == 0
+        code, out, _ = run(capsys, "--json", "factorize", str(out_path))
+        assert code == 0
+        steps = json.loads(out)["steps"]
+        assert [(s["kind"], s["center"]) for s in steps] == [
+            ("blowup", [1, 1]), ("blowup", [2, 1]), ("blowup", [3, 2])
+        ]
+
     def test_build_empty_centers(self, capsys, tmp_path):
         out_path = tmp_path / "flat.cob"
         code, out, _ = run(

@@ -19,16 +19,16 @@ from fancob.cobordism import (
     classify,
     cobordism_from_doc,
     cobordism_to_doc,
-    project,
     validate_cobordism,
 )
-from fancob.collapse import circuit_graph, extract_factorization, is_collapsible
+from fancob.collapse import StepKind, circuit_graph, extract_factorization, is_collapsible
 from fancob.errors import (
     CenterAlreadyRay,
     CenterNotInSupport,
     DegenerateHeights,
     InvalidFan,
 )
+from fancob.exact import primitive, rank
 from fancob.fan import Fan, SimplicialCone, fans_equal, star_subdivide
 from conftest import (
     FIXTURES,
@@ -48,20 +48,46 @@ C3 = SimplicialCone(((1, 0, 0, 0), (1, 1, 0, 1), (0, 0, 1, 0), (1, 1, 1, 3)))
 C4 = SimplicialCone(((1, 1, 0, 1), (0, 1, 1, 2), (0, 0, 1, 0), (1, 1, 1, 3)))
 
 
+def independent_projection(cone: SimplicialCone) -> bool:
+    """Rank oracle: the projected rays (height dropped) are independent."""
+    projs = [r[:-1] for r in cone.rays]
+    return rank(projs) == len(projs)
+
+
 class TestProject:
+    # a lifted cone is projection-independent iff circuit_of finds no circuit
     def test_dependent_projection(self):
         cone = SimplicialCone(((1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 1)))
-        projs, independent = project(cone)
-        assert set(projs) == {(1, 0, 0), (0, 1, 0), (1, 1, 0)}
-        assert not independent
+        assert circuit_of(cone) is not None and not independent_projection(cone)
 
     def test_independent_projection(self):
-        projs, independent = project(SimplicialCone(((1, 0, 0), (0, 1, 0))))
-        assert set(projs) == {(1, 0), (0, 1)} and independent
+        cone = SimplicialCone(((1, 0, 0), (0, 1, 0)))
+        assert circuit_of(cone) is None and independent_projection(cone)
 
     def test_doubled_ray_projection(self):
-        projs, independent = project(SimplicialCone(((1, 0, 0), (1, 0, 1))))
-        assert projs == ((1, 0), (1, 0)) and not independent
+        cone = SimplicialCone(((1, 0, 0), (1, 0, 1)))
+        assert circuit_of(cone) is not None and not independent_projection(cone)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_circuit_against_rank_oracle(self, d):
+        # about half the cones get a first ray whose projection is a
+        # combination of the others' (a circuit of up to k rays)
+        rng = random.Random(60 + d)
+        seen = {True: 0, False: 0}
+        while min(seen.values()) < 40:
+            k = rng.randint(1, d + 1)
+            rays = [tuple(rng.randint(-2, 2) for _ in range(d + 1)) for _ in range(k)]
+            if rng.random() < 0.5:
+                coeffs = [rng.randint(-2, 2) for _ in rays[1:]]
+                base = [sum(c * r[i] for c, r in zip(coeffs, rays[1:])) for i in range(d)]
+                rays[0] = tuple(base) + (rng.randint(-3, 3),)
+            if any(not any(r[:-1]) for r in rays) or rank(rays) < k:
+                continue
+            rays = [primitive(r) for r in rays]
+            cone = SimplicialCone(tuple(rays))
+            independent = independent_projection(cone)
+            assert (circuit_of(cone) is None) == independent, cone
+            seen[independent] += 1
 
 
 class TestCircuitOf:
@@ -227,6 +253,15 @@ class TestValidateCobordism:
         assert any("degenerate" in p for p in report.problems)
 
 
+def assert_factors_into(cob, centers, heights):
+    """A valid build at the given center heights that factors back into one
+    blowup per center, in order."""
+    assert validate_cobordism(cob).ok
+    assert sorted({r[-1] for r in cob.fan.rays} - {0}) == heights
+    steps = extract_factorization(cob)
+    assert [(s.kind, s.center) for s in steps] == [(StepKind.BLOWUP, c) for c in centers]
+
+
 class TestBuildCobordism:
     def test_karu_census(self, karu):
         assert set(karu.fan.max_cones) == {C1, C2, C3, C4}
@@ -277,16 +312,20 @@ class TestBuildCobordism:
             build_cobordism(orthant_fan(), [(1, 0, 0)])
 
     def test_degenerate_heights(self):
-        # second center 2*(1,1,0)+(0,0,1) lands exactly on the lifted sheet
+        # at height 2 the second center 2*(1,1,0)+(0,0,1) lands exactly on
+        # the lifted sheet; the default heights clear it
+        centers = [(1, 1, 0), (2, 2, 1)]
         with pytest.raises(DegenerateHeights):
-            build_cobordism(orthant_fan(), [(1, 1, 0), (2, 2, 1)])
+            build_cobordism(orthant_fan(), centers, (1, 2))
+        assert_factors_into(build_cobordism(orthant_fan(), centers), centers, [1, 3])
 
     def test_center_below_sheet(self):
-        # barycenter of two earlier centers would lift below the graph
-        fan = orthant_fan()
+        # at height 3 the barycenter of two earlier centers would lift below
+        # the graph; the default heights clear it
         centers = [(1, 1, 0), (1, 1, 1), (2, 2, 1)]
         with pytest.raises(DegenerateHeights):
-            build_cobordism(fan, centers)
+            build_cobordism(orthant_fan(), centers, (1, 2, 3))
+        assert_factors_into(build_cobordism(orthant_fan(), centers), centers, [1, 2, 4])
 
     def test_shared_circuit_is_intrinsic(self, karu):
         ca, cb = circuit_of(C3), circuit_of(C4)

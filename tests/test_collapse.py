@@ -22,8 +22,10 @@ from fancob.cobordism import (
     validate_cobordism,
 )
 from fancob.collapse import (
+    CollapseGraph,
     StepKind,
     _components,
+    _find_cycle,
     circuit_graph,
     extract_factorization,
     is_collapsible,
@@ -672,11 +674,32 @@ class TestRandomCorpusProperties:
             front = step.result
 
 
+def trimming_cycle(graph, remaining):
+    """The former witness walk, kept as an oracle: trim nodes without a
+    successor among the remaining ones to a fixpoint, then walk least
+    successors from the least node left."""
+    rem = set(remaining)
+    changed = True
+    while changed:
+        changed = False
+        for n in sorted(rem):
+            if not any(b in rem for b in graph.successors(n)):
+                rem.discard(n)
+                changed = True
+    path, seen = [min(rem)], {min(rem): 0}
+    while True:
+        nxt = min(b for b in graph.successors(path[-1]) if b in rem)
+        if nxt in seen:
+            cycle = tuple(path[seen[nxt]:])
+            pivot = cycle.index(min(cycle))
+            return cycle[pivot:] + cycle[:pivot]
+        seen[nxt] = len(path)
+        path.append(nxt)
+
+
 class TestFindCycle:
     def test_sink_hanging_off_cycle(self):
         # a node reachable from a cycle but not on it must not derail the walk
-        from fancob.collapse import CollapseGraph, _find_cycle
-
         a, b, x = ("a",), ("b",), ("x",)
         graph = CollapseGraph(
             nodes=(a, b, x),
@@ -684,10 +707,52 @@ class TestFindCycle:
             circuits={},
             cones={},
         )
-        cycle = _find_cycle(graph, {a, b, x})
+        cycle = _find_cycle(graph)
         assert set(cycle) == {a, b}
         for s, t in zip(cycle, cycle[1:] + cycle[:1]):
             assert (s, t) in graph.edges
+
+    def test_random_digraphs_against_trimming_walk(self):
+        # the witness is a simple cycle inside one component, rotated to its
+        # least node, and the former walk's whenever one component is cyclic
+        rng = random.Random(19)
+        checked = 0
+        for _ in range(600):
+            nodes = tuple((i,) for i in range(rng.randint(2, 9)))
+            edges = tuple(sorted(
+                (a, b) for a in nodes for b in nodes if a != b and rng.random() < 0.25
+            ))
+            graph = CollapseGraph(nodes, edges, {}, {})
+            comp = _components(graph)
+            nontrivial = {comp[a] for a, b in edges if comp[a] == comp[b]}
+            if not nontrivial:
+                continue
+            checked += 1
+            cycle = _find_cycle(graph)
+            assert len(set(cycle)) == len(cycle) >= 2
+            assert cycle[0] == min(cycle)
+            assert len({comp[n] for n in cycle}) == 1
+            for s, t in zip(cycle, cycle[1:] + cycle[:1]):
+                assert (s, t) in edges
+            if len(nontrivial) == 1:
+                # the nodes a topological sort leaves: those a cycle reaches
+                stuck = {n for n in nodes if any(reaches(graph, c, n) for c in cycle)}
+                assert cycle == trimming_cycle(graph, stuck)
+        assert checked > 200
+
+    def test_two_components_joined_by_a_path(self):
+        # 0 <-> 3 and 1 <-> 2 with the edge 0 -> 1 between them: the walk
+        # stays in the component of the least cyclic node, where the former
+        # walk followed 0 -> 1 into the other one
+        n0, n1, n2, n3 = (0,), (1,), (2,), (3,)
+        graph = CollapseGraph(
+            nodes=(n0, n1, n2, n3),
+            edges=((n0, n1), (n0, n3), (n1, n2), (n2, n1), (n3, n0)),
+            circuits={},
+            cones={},
+        )
+        assert _find_cycle(graph) == (n0, n3)
+        assert trimming_cycle(graph, set(graph.nodes)) == (n1, n2)
 
 
 def reaches(graph, src, dst) -> bool:

@@ -439,7 +439,7 @@ class TestInvariantChecks:
         assert str(failed.value).startswith(f"circuit {key} splits differently in {lifted.max_cones[1]}")
 
     def test_schedule_center_check(self, monkeypatch, karu):
-        monkeypatch.setattr(demos, "nonneg_combination", lambda rays, p: None)
+        monkeypatch.setattr(fan, "_positive_rays", lambda cone, p: None)
         with pytest.raises(AssertionFailed):
             demos.positive_link_centers(karu)
 

@@ -504,6 +504,13 @@ class TestLiftByConstruction:
                 fractional += sheet != h
         assert refused >= 60 and fractional >= 1, (refused, fractional)
 
+    def test_default_heights_clear_the_sheet(self, corpus):
+        # the corpus heights are the least integers above the last height
+        # and the oracle's sheet, the rule the default heights follow
+        for case in corpus:
+            fan, centers, heights = case["fan"], case["centers"], case["heights"]
+            assert build_cobordism(fan, centers).fan == oracle_lifted_fan(fan, centers, heights)
+
 
 class TestMaximalFaceSmoothness:
     @pytest.mark.parametrize("d", [2, 3, 4])
