@@ -23,6 +23,7 @@ from .errors import (
     DimensionMismatch,
     FancobError,
     FrontMismatch,
+    InvalidFan,
     NotCollapsible,
     ParseError,
 )
@@ -189,7 +190,7 @@ def cmd_factorize(path: str, elide_identity: bool = False, out: str | None = Non
     cob, _, _ = load_cobordism(path)
     try:
         steps = collapsemod.extract_factorization(cob, elide_identity=elide_identity)
-    except (NotCollapsible, FrontMismatch, BrokenFan) as exc:
+    except (NotCollapsible, FrontMismatch, BrokenFan, InvalidFan) as exc:
         return CommandResult(
             exit_code=1,
             report={"error": type(exc).__name__, "message": str(exc)},

@@ -75,16 +75,12 @@ def circuit_of(cone: SimplicialCone) -> Circuit | None:
     """The circuit of a lifted cone, or None when it is projection-independent.
 
     A relation sum r_i pi(v_i) = 0 of the projected rays lifts to
-    sum r_i v_i = (sum r_i h_i) e, e = e_{d+1}, so the relation exists iff e
-    is in span(cone) (no _span_equalities row has a nonzero last entry) and
-    is then the coefficient vector of e.  The dual basis row n_i of v_i
-    (fan._cone_solver) pairs to the same D > 0 with v_i and to 0 with every
-    other ray, so that coefficient is n_i[-1] / D.  The result is checked
-    exactly: it maps the rays to a positive multiple of e.
+    sum r_i v_i = (sum r_i h_i) e, e = e_{d+1}, so it exists iff e is in
+    span(cone) and is then D times e's coefficients, fan._coordinates(cone, e)
+    (None off the span), checked exactly to map the rays to a positive multiple of e.
     """
-    if cone.dim < cone.ambient_dim and any(y[-1] for y in fanmod._span_equalities(cone)):
-        return None
-    return _checked_circuit(cone, primitive([n[-1] for n in fanmod._cone_solver(cone)]))
+    coords = fanmod._coordinates(cone, (0,) * (cone.ambient_dim - 1) + (1,))
+    return None if coords is None else _checked_circuit(cone, primitive(coords))
 
 
 def _checked_circuit(cone: SimplicialCone, rel: tuple[int, ...]) -> Circuit:

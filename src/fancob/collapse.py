@@ -14,6 +14,7 @@ import enum
 import heapq
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import AssertionFailed, BrokenFan, FrontMismatch, InvalidFan, NotCollapsible
 from .exact import Vec, _minor_gcd_prefixes, primitive
@@ -34,7 +35,7 @@ CircuitKey = tuple[Vec, ...]
 class CollapseGraph:
     """Distinct circuits of the maximal cones plus the crossing-order edges.
 
-    The successor lists are built once from the edges, in edge order.
+    The successor and predecessor lists are built once from the edges, in edge order.
     """
 
     nodes: tuple[CircuitKey, ...]
@@ -42,15 +43,24 @@ class CollapseGraph:
     circuits: dict
     cones: dict
     _succ: dict = field(init=False, repr=False, compare=False)
+    _pred: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         succ: dict[CircuitKey, list[CircuitKey]] = {}
+        pred: dict[CircuitKey, list[CircuitKey]] = {}
         for a, b in self.edges:
             succ.setdefault(a, []).append(b)
+            pred.setdefault(b, []).append(a)
         object.__setattr__(self, "_succ", succ)
+        object.__setattr__(self, "_pred", pred)
 
     def successors(self, key: CircuitKey) -> list[CircuitKey]:
         return list(self._succ.get(key, ()))
+
+    @cached_property
+    def components(self) -> dict[CircuitKey, CircuitKey]:
+        """The strongly connected components (_components), found on first use."""
+        return _components(self)
 
 
 class StepKind(enum.Enum):
@@ -112,7 +122,7 @@ def _find_cycle(graph: CollapseGraph) -> tuple[CircuitKey, ...]:
     to the least successor in that component, which always exists, so it
     must close.
     """
-    comp = _components(graph)
+    comp = graph.components
     # the graph has no loops, so a node has a successor in its own
     # component exactly when that component has more than one node
     start = min(n for n in graph.nodes if any(comp[b] == comp[n] for b in graph.successors(n)))
@@ -148,9 +158,7 @@ def _collapse_order(graph: CollapseGraph) -> tuple[bool, tuple[CircuitKey, ...]]
         rays = circ.pos or circ.rays
         return (min(r[-1] for r in rays), key)
 
-    indeg = {n: 0 for n in graph.nodes}
-    for _, b in graph.edges:
-        indeg[b] += 1
+    indeg = {n: len(graph._pred.get(n, ())) for n in graph.nodes}
     # level ends in the unique key, so the heap pops in level order
     ready = [(level(n), n) for n, d in indeg.items() if d == 0]
     heapq.heapify(ready)
@@ -366,9 +374,6 @@ def _components(graph: CollapseGraph) -> dict[CircuitKey, CircuitKey]:
             else:
                 seen.add(nxt)
                 stack.append((nxt, iter(graph.successors(nxt))))
-    preds: dict[CircuitKey, list[CircuitKey]] = {}
-    for a, b in graph.edges:
-        preds.setdefault(b, []).append(a)
     comp: dict[CircuitKey, CircuitKey] = {}
     for root in reversed(finished):
         if root in comp:
@@ -376,7 +381,7 @@ def _components(graph: CollapseGraph) -> dict[CircuitKey, CircuitKey]:
         comp[root] = root
         stack = [root]
         while stack:
-            for a in preds.get(stack.pop(), ()):
+            for a in graph._pred.get(stack.pop(), ()):
                 if a not in comp:
                     comp[a] = root
                     stack.append(a)
@@ -390,7 +395,7 @@ def to_dot(graph: CollapseGraph) -> str:
     component.
     """
     names = {key: f"c{i}" for i, key in enumerate(graph.nodes)}
-    comp = _components(graph)
+    comp = graph.components
     lines = ["digraph circuits {"]
     for key in graph.nodes:
         circ = graph.circuits[key]

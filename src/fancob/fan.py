@@ -8,9 +8,10 @@ every subset of the rays spans one.
 Each cone has one exact elimination (_cone_solver): the dual basis of its
 rays within their span, row n_i pairing to the same D > 0 with ray i and to
 0 with every other ray.  A point of the span has coordinate <n_i, x> / D on
-ray i, so membership (_coordinates), the first-order nudge of the support
-test (_stays_inside) and the facet normals (_facet_normals, the primitive
-rows) are sign tests on its rows, after the span equalities
+ray i.  Each row is an inward facet normal within the span, so membership
+(_coordinates), the support test's nudge (_stays_inside), the separating
+certificates, the pair test and the double-description cuts are sign tests
+on its rows, after a lower-dimensional cone's span equalities
 (_span_equalities) vanish on the point.
 
 A running set of maximal cones (_IndexedCones) keeps them in fan order, by
@@ -242,8 +243,10 @@ def _cone_solver(cone: SimplicialCone) -> tuple[Vec, ...]:
 
 @lru_cache(maxsize=_GEOMETRY_CACHE_SIZE)
 def _facet_normals(cone: SimplicialCone) -> tuple[Vec, ...]:
-    """Inward facet normals within the span, one per ray: the primitive dual
-    basis rows, so on span(cone) the normals cut out exactly the cone."""
+    """The primitive dual basis rows; nothing in the package reads them, but
+    bench/run.py clears this cache by name.  The sign tests read the
+    _cone_solver rows, each a positive multiple of its copy here: signs, zero
+    tests and _cut's generators (split by sign, made primitive) are the same."""
     return tuple(primitive(n) for n in _cone_solver(cone))
 
 
@@ -269,11 +272,11 @@ def _cut(gens: list[Vec], normal: Vec, equation: bool = False) -> list[Vec]:
 
 
 def _intersection_generators(a: SimplicialCone, b: SimplicialCone) -> list[Vec]:
-    """A generating set (not necessarily extreme) of a ∩ b."""
+    """A generating set (not necessarily extreme) of a ∩ b, cut by b's dual basis rows."""
     gens = list(a.rays)
-    for y in _span_equalities(b):
+    for y in _span_equalities(b) if b.dim < b.ambient_dim else ():
         gens = _cut(gens, y, equation=True)
-    for w in _facet_normals(b):
+    for w in _cone_solver(b):
         gens = _cut(gens, w)
     return gens
 
@@ -293,7 +296,7 @@ def _separating_zeros(a: SimplicialCone, b: SimplicialCone) -> Iterator[set[Vec]
     question: it would be settled by the last one too.
     """
     zeros = None
-    for w in _facet_normals(a):
+    for w in _cone_solver(a):
         z = set()
         for r in b.rays:
             s = sum(map(mul, w, r))
@@ -355,7 +358,7 @@ def _pair_problem(a: SimplicialCone, b: SimplicialCone) -> str | None:
         for zeros in _separating_zeros(x, y):
             if zeros <= shared:
                 return None
-    apart = [w for w, r in zip(_facet_normals(a), a.rays) if r not in sb]
+    apart = [w for w, r in zip(_cone_solver(a), a.rays) if r not in sb]
     for g in _intersection_generators(a, b):
         # g lies in a, and normal i pairs with ray i alone, so g lies in
         # the cone on the common rays iff every other normal vanishes on it
@@ -587,15 +590,10 @@ def _stays_inside(cone: SimplicialCone, point: Vec, direction: Vec) -> bool:
     both point and direction must lie in the cone's span, and each
     coefficient must be positive at t=0, or zero with nonnegative slope.
     """
-    if cone.dim < cone.ambient_dim and any(
-        sum(map(mul, y, point)) or sum(map(mul, y, direction)) for y in _span_equalities(cone)
-    ):
+    at, towards = _coordinates(cone, point), _coordinates(cone, direction)
+    if at is None or towards is None:
         return False
-    for n in _cone_solver(cone):
-        sp = sum(map(mul, n, point))
-        if sp < 0 or (sp == 0 and sum(map(mul, n, direction)) < 0):
-            return False
-    return True
+    return all(sp > 0 or (sp == 0 and sd >= 0) for sp, sd in zip(at, towards))
 
 
 def _vec_sum(vs) -> Vec:
@@ -640,10 +638,10 @@ def covered_by_fan(cone: SimplicialCone, fan: Fan) -> bool:
             pieces.append((tau, gens))
     if not pieces:
         return False
-    inward = _facet_normals(cone)
+    inward = _cone_solver(cone)
     for tau, gens in pieces:
         p = _vec_sum(gens)
-        for w in _facet_normals(tau):
+        for w in _cone_solver(tau):
             # w >= 0 on the piece, so these generators span piece ∩ {w = 0}
             face = [g for g in gens if dot(w, g) == 0]
             if rank(face) != k - 1:

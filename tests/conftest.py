@@ -38,6 +38,10 @@ INVALID_BOTTOM_DOCS = {
 }
 
 
+# a .cob document whose one circuit is degenerate: its relation has one sign
+DEGENERATE_CIRCUIT_DOC = {"base_dim": 1, "rays": [[1, 0], [-1, 1]], "max_cones": [[0, 1]]}
+
+
 def orthant_fan() -> Fan:
     return Fan(3, (SimplicialCone((E1, E2, E3)),))
 

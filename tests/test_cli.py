@@ -13,9 +13,10 @@ from pathlib import Path
 import pytest
 
 import fancob
-from fancob.cli import main, parse_centers
+from fancob import collapse as collapsemod
+from fancob.cli import entry, main, parse_centers
 from fancob.errors import ParseError
-from conftest import FIXTURES, INVALID_BOTTOM_DOCS
+from conftest import DEGENERATE_CIRCUIT_DOC, FIXTURES, INVALID_BOTTOM_DOCS
 
 
 def run(capsys, *argv):
@@ -148,6 +149,15 @@ class TestCollapse:
         text = dot.read_text()
         assert text.startswith("digraph circuits {") and text.count("->") == 3
 
+    def test_cycle_with_dot_runs_one_component_pass(self, capsys, tmp_path, monkeypatch):
+        # the cycle witness and the dot highlighting read one components map
+        passes, real = [], collapsemod._components
+        monkeypatch.setattr(collapsemod, "_components", lambda g: passes.append(g) or real(g))
+        dot = tmp_path / "g.dot"
+        code, out, _ = run(capsys, "collapse", str(FIXTURES / "cycle.cob"), "--dot", str(dot))
+        assert code == 1 and "cycle:" in out and "color=red" in dot.read_text()
+        assert len(passes) == 1
+
 
 class TestFactorize:
     def test_karu_blowups(self, capsys):
@@ -198,6 +208,16 @@ class TestFactorize:
         report = json.loads(out)
         assert report["error"] == "BrokenFan"
         assert report["message"].startswith("bottom fan is invalid:\n- ")
+
+    def test_degenerate_circuit(self, capsys, tmp_path):
+        path = tmp_path / "degenerate.cob"
+        path.write_text(json.dumps(DEGENERATE_CIRCUIT_DOC))
+        message = "circuit [(-1, 1), (1, 0)] is degenerate: its relation has one sign"
+        code, out, err = run(capsys, "factorize", str(path))
+        assert (code, out, err) == (1, f"error: InvalidFan: {message}\n", "")
+        code, out, err = run(capsys, "--json", "factorize", str(path))
+        assert code == 1 and err == ""
+        assert json.loads(out) == {"error": "InvalidFan", "message": message}
 
     def test_transcript_artifact(self, capsys, tmp_path):
         out_path = tmp_path / "steps.json"
@@ -347,6 +367,22 @@ class TestDemo:
         with pytest.raises(SystemExit) as exc:
             main(["demo", "unknown"])
         assert exc.value.code == 2
+
+
+class TestEntry:
+    """cli.entry, the console script of [project.scripts], reads sys.argv
+    and exits with main's code."""
+
+    @pytest.mark.parametrize("argv, code, line", [
+        (["demo", "karu"], 0, "verdict: schedule does not preserve pointing-up"),
+        (["validate", str(FIXTURES / "overlap.fan")], 1, "result: INVALID"),
+    ])
+    def test_exit_code(self, capsys, monkeypatch, argv, code, line):
+        monkeypatch.setattr(sys, "argv", ["fancob", *argv])
+        with pytest.raises(SystemExit) as exc:
+            entry()
+        assert exc.value.code == code
+        assert line in capsys.readouterr().out.splitlines()
 
 
 class TestDeterminism:

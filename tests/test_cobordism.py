@@ -11,6 +11,7 @@ import pytest
 from fancob import fan as fanmod
 from fancob.cobordism import (
     Cobordism,
+    _checked_circuit,
     ConeClass,
     Side,
     boundary,
@@ -90,6 +91,15 @@ class TestProject:
             seen[independent] += 1
 
 
+def span_equality_circuit(cone):
+    """circuit_of by its former formula: None when a span equality has a
+    nonzero last entry (e off the span), else the last entries of the dual
+    basis rows, made primitive and checked."""
+    if cone.dim < cone.ambient_dim and any(y[-1] for y in fanmod._span_equalities(cone)):
+        return None
+    return _checked_circuit(cone, primitive([n[-1] for n in fanmod._cone_solver(cone)]))
+
+
 class TestCircuitOf:
     def test_first_step_cone(self):
         circ = circuit_of(C1)
@@ -106,6 +116,28 @@ class TestCircuitOf:
 
     def test_independent_cone(self):
         assert circuit_of(SimplicialCone(((1, 0, 0), (0, 1, 0)))) is None
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_against_span_equality_formula(self, d):
+        # seeded lifted cones: full-dimensional ones (e = e_{d+1} in their
+        # span) and lower-dimensional ones with e in and off their span, as
+        # some cones get a first ray whose projection combines the others'
+        rng = random.Random(70 + d)
+        seen = {(True, True): 0, (False, True): 0, (False, False): 0}
+        while min(seen.values()) < 25:
+            k = rng.randint(1, d + 1)
+            rays = [tuple(rng.randint(-2, 2) for _ in range(d + 1)) for _ in range(k)]
+            if k > 1 and rng.random() < 0.5:
+                coeffs = [rng.randint(-2, 2) for _ in rays[1:]]
+                rays[0] = tuple(sum(c * r[i] for c, r in zip(coeffs, rays[1:])) for i in range(d)) + (
+                    sum(c * r[-1] for c, r in zip(coeffs, rays[1:])) + rng.choice((-1, 1)),
+                )
+            if any(not any(r) for r in rays) or rank(rays) < k:
+                continue
+            cone = SimplicialCone(tuple(primitive(r) for r in rays))
+            circ = circuit_of(cone)
+            assert circ == span_equality_circuit(cone), cone
+            seen[k == d + 1, circ is not None] += 1
 
     def test_relation_balances(self):
         circ = circuit_of(C4)

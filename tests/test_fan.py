@@ -16,6 +16,7 @@ from fancob.fan import (
     Fan,
     RayNormalized,
     SimplicialCone,
+    _cut,
     _first_uncovered,
     _intersection_generators,
     _pair_problem,
@@ -35,6 +36,7 @@ from fancob.fan import (
 )
 from fancob import exact
 from fancob.cobordism import build_cobordism
+from fancob.collapse import extract_factorization
 from conftest import orthant_fan, random_smooth_fan, random_center_sequence, ring_chain, sample_points
 from test_facet_boundary import _orthant
 
@@ -801,7 +803,122 @@ class TestEarlyStoppingCertificates:
         assert min(kinds.values()) >= 15 and settled_early >= 200, (kinds, settled_early)
 
 
+# --- the pair questions on the primitive facet normals ------------------------
+# The former readers of fan._facet_normals, kept as oracles: the sign tests
+# now read the _cone_solver rows, positive multiples of the same normals.
+
+
+def facet_normal_separating_zeros(a: SimplicialCone, b: SimplicialCone):
+    zeros = None
+    for w in fanmod._facet_normals(a):
+        z = set()
+        for r in b.rays:
+            s = dot(w, r)
+            if s > 0:
+                break
+            if s == 0:
+                z.add(r)
+        else:
+            zeros = z if zeros is None else zeros & z
+            yield zeros
+
+
+def facet_normal_intersection_generators(a: SimplicialCone, b: SimplicialCone):
+    gens = list(a.rays)
+    for y in fanmod._span_equalities(b):
+        gens = _cut(gens, y, equation=True)
+    for w in fanmod._facet_normals(b):
+        gens = _cut(gens, w)
+    return gens
+
+
+def facet_normal_pair_problem(a: SimplicialCone, b: SimplicialCone):
+    sa, sb = set(a.rays), set(b.rays)
+    if sa <= sb or sb <= sa:
+        return f"nested maximal cones: {a} and {b}"
+    shared = sa & sb
+    for x, y in ((a, b), (b, a)):
+        for zeros in facet_normal_separating_zeros(x, y):
+            if zeros <= shared:
+                return None
+    apart = [w for w, r in zip(fanmod._facet_normals(a), a.rays) if r not in sb]
+    for g in facet_normal_intersection_generators(a, b):
+        if any(dot(w, g) for w in apart):
+            return (
+                f"cones {a} and {b} overlap beyond their common face "
+                f"(witness direction {g})"
+            )
+    return None
+
+
+class TestOneDualBasisRecord:
+    """The sign tests read the _cone_solver rows, not their primitive
+    copies, and the double-description pass cuts by span equalities only on
+    a proper span: every certificate, generator list and message is the one
+    the facet normals give."""
+
+    def test_pair_questions_match_facet_normals(self):
+        rng = random.Random(45)
+        kinds = {}
+        for d in (2, 3, 4, 5):
+            for _ in range(300):
+                a, b = random_cone_pair(rng, d)
+                problem = _pair_problem(a, b)
+                assert problem == facet_normal_pair_problem(a, b), (a, b)
+                for x, y in ((a, b), (b, a)):
+                    assert list(_separating_zeros(x, y)) == list(facet_normal_separating_zeros(x, y))
+                    assert _intersection_generators(x, y) == facet_normal_intersection_generators(x, y)
+                if problem is None:
+                    kind = "face-sharing" if set(a.rays) & set(b.rays) else "disjoint"
+                else:
+                    kind = "nested" if problem.startswith("nested") else "overlapping"
+                full = (a.dim == d) + (b.dim == d)
+                kinds[d, kind, full] = kinds.get((d, kind, full), 0) + 1
+        # full counts the full-dimensional cones of the pair; in dim 2 a ray
+        # sharing a face with another cone is nested in it
+        for kind in ("disjoint", "face-sharing", "overlapping"):
+            assert all(sum(kinds.get((d, kind, f), 0) for f in (0, 1, 2)) >= 5 for d in (2, 3, 4, 5))
+            assert sum(kinds.get((d, kind, 2), 0) for d in (2, 3, 4, 5)) >= 10, kinds
+            assert sum(kinds.get((d, kind, f), 0) for d in (2, 3, 4, 5) for f in (0, 1)) >= 10, kinds
+
+    def test_support_test_matches_primitive_rows(self, monkeypatch):
+        # every reader of the rows on their primitive copies, as covered_by_fan
+        # read them before: the same verdicts on the pair fans and on cones
+        # against them
+        rng = random.Random(46)
+        cases = []
+        for d in (2, 3, 4):
+            for _ in range(150):
+                a, b = random_cone_pair(rng, d)
+                cases.append((a, Fan(d, (b,))))
+                if validate_fan(Fan(d, (a, b))).ok:
+                    cases.append((b, Fan(d, (a, b))))
+        verdicts = [covered_by_fan(c, f) for c, f in cases]
+        real = fanmod._cone_solver
+        monkeypatch.setattr(fanmod, "_cone_solver", lambda c: tuple(primitive(n) for n in real(c)))
+        assert verdicts == [covered_by_fan(c, f) for c, f in cases]
+        assert min(verdicts.count(True), verdicts.count(False)) >= 50, verdicts.count(True)
+
+
 class TestGeometryCaches:
+    def test_build_and_extract_need_no_second_record(self):
+        # full-dimensional cones read one record, _cone_solver, on the
+        # bench's shapes: no primitive copy and no empty span equalities
+        octa = Fan(3, tuple(_orthant(s) for s in itertools.product((1, -1), repeat=3)))
+        octa_centers = [(1, 1, 0), (0, 1, 1), (1, 0, 1), (-1, -1, 0), (0, -1, -1), (-1, 0, -1)]
+        caches = (fanmod._span_equalities, fanmod._cone_solver, fanmod._facet_normals)
+        try:
+            for fan, centers in (ring_chain(16), (octa, octa_centers)):
+                for cache in caches:
+                    cache.cache_clear()
+                extract_factorization(build_cobordism(fan, centers))
+                assert fanmod._cone_solver.cache_info().misses > 0
+                assert fanmod._facet_normals.cache_info().misses == 0
+                assert fanmod._span_equalities.cache_info().misses == 0
+        finally:
+            for cache in caches:
+                cache.cache_clear()
+
     def test_bounded(self):
         caches = (fanmod._span_equalities, fanmod._cone_solver, fanmod._facet_normals)
         bound = fanmod._GEOMETRY_CACHE_SIZE
