@@ -15,7 +15,6 @@ import json
 import os
 import re
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import (
@@ -38,13 +37,21 @@ from .cobordism import (
     validate_cobordism,
 )
 from .fan import Fan, fan_from_doc, validate_fan
+from .value import Value
 
 
-@dataclass
-class CommandResult:
-    exit_code: int
-    report: dict
-    lines: list[str] = field(default_factory=list)
+class CommandResult(Value):
+    """A command's exit code, its --json report and its text lines."""
+
+    __slots__ = ("exit_code", "report", "lines")
+
+    def __init__(self, exit_code: int, report: dict, lines: list[str] | None = None):
+        object.__setattr__(self, "exit_code", exit_code)
+        object.__setattr__(self, "report", report)
+        object.__setattr__(self, "lines", [] if lines is None else lines)
+
+    def _key(self) -> tuple:
+        return self.exit_code, self.report, self.lines
 
 
 def _load_json(path: str):

@@ -13,8 +13,6 @@ from __future__ import annotations
 
 import enum
 import operator
-from dataclasses import dataclass, field
-from fractions import Fraction
 from operator import mul
 
 from .errors import (
@@ -30,6 +28,7 @@ from .errors import (
 from .exact import Vec, primitive
 from . import fan as fanmod
 from .fan import Fan, SimplicialCone, ValidationReport, fan_from_doc, fan_to_doc
+from .value import Value
 
 
 class Side(enum.Enum):
@@ -50,8 +49,7 @@ def base_part(v: Vec) -> Vec:
     return v[:-1]
 
 
-@dataclass(frozen=True)
-class Circuit:
+class Circuit(Value):
     """The minimal dependent ray subset of a lifted cone, with its signs.
 
     rays and relation are aligned; the relation has entry gcd 1 and is
@@ -60,11 +58,18 @@ class Circuit:
     remaining rays of the particular cone the circuit was computed in.
     """
 
-    rays: tuple[Vec, ...]
-    relation: tuple[int, ...]
-    pos: tuple[Vec, ...]
-    neg: tuple[Vec, ...]
-    link: tuple[Vec, ...]
+    __slots__ = ("rays", "relation", "pos", "neg", "link")
+
+    def __init__(self, rays: tuple[Vec, ...], relation: tuple[int, ...],
+                 pos: tuple[Vec, ...], neg: tuple[Vec, ...], link: tuple[Vec, ...]):
+        object.__setattr__(self, "rays", rays)
+        object.__setattr__(self, "relation", relation)
+        object.__setattr__(self, "pos", pos)
+        object.__setattr__(self, "neg", neg)
+        object.__setattr__(self, "link", link)
+
+    def _key(self) -> tuple:
+        return self.rays, self.relation, self.pos, self.neg, self.link
 
     @property
     def key(self) -> tuple[Vec, ...]:
@@ -212,8 +217,7 @@ def _projected_fan(faces, base_dim: int) -> Fan:
     return Fan(base_dim, cones)
 
 
-@dataclass(frozen=True)
-class Cobordism:
+class Cobordism(Value):
     """A lifted fan together with its boundary data and circuits.
 
     bottom and top must be the projections of the lower and upper boundary
@@ -226,13 +230,22 @@ class Cobordism:
     and the demos) takes them from here.
     """
 
-    base_dim: int
-    fan: Fan
-    lower_faces: tuple[SimplicialCone, ...]
-    upper_faces: tuple[SimplicialCone, ...]
-    bottom: Fan
-    top: Fan
-    circuits: tuple[Circuit | None, ...] = field(repr=False)
+    __slots__ = ("base_dim", "fan", "lower_faces", "upper_faces", "bottom", "top", "circuits")
+
+    def __init__(self, base_dim: int, fan: Fan, lower_faces: tuple[SimplicialCone, ...],
+                 upper_faces: tuple[SimplicialCone, ...], bottom: Fan, top: Fan,
+                 circuits: tuple[Circuit | None, ...]):
+        object.__setattr__(self, "base_dim", base_dim)
+        object.__setattr__(self, "fan", fan)
+        object.__setattr__(self, "lower_faces", lower_faces)
+        object.__setattr__(self, "upper_faces", upper_faces)
+        object.__setattr__(self, "bottom", bottom)
+        object.__setattr__(self, "top", top)
+        object.__setattr__(self, "circuits", circuits)
+
+    def _key(self) -> tuple:
+        return (self.base_dim, self.fan, self.lower_faces, self.upper_faces,
+                self.bottom, self.top, self.circuits)
 
     @classmethod
     def from_fan(cls, fan: Fan, base_dim: int | None = None) -> "Cobordism":
@@ -458,6 +471,8 @@ def build_cobordism(delta: Fan, centers, heights=None) -> Cobordism:
         # by default the least height above the last one that clears the sheet
         h = max(h + 1, sheet // d + 1) if heights is None else heights[t]
         if h * d <= sheet:
+            from fractions import Fraction  # only for this message, off the import path
+
             raise DegenerateHeights(
                 f"center {center} lifts to height {h}, but the recorded fan "
                 f"sheet already sits at {Fraction(sheet, d)} there; "

@@ -13,7 +13,6 @@ from __future__ import annotations
 import enum
 import heapq
 import itertools
-from dataclasses import dataclass, field
 from functools import cached_property
 
 from .errors import AssertionFailed, BrokenFan, FrontMismatch, InvalidFan, NotCollapsible
@@ -27,32 +26,35 @@ from .cobordism import (
     circuit_class,
 )
 from .fan import Fan, SimplicialCone
+from .value import Value
 
 CircuitKey = tuple[Vec, ...]
 
 
-@dataclass(frozen=True)
-class CollapseGraph:
+class CollapseGraph(Value):
     """Distinct circuits of the maximal cones plus the crossing-order edges.
 
     The successor and predecessor lists are built once from the edges, in edge order.
     """
 
-    nodes: tuple[CircuitKey, ...]
-    edges: tuple[tuple[CircuitKey, CircuitKey], ...]
-    circuits: dict
-    cones: dict
-    _succ: dict = field(init=False, repr=False, compare=False)
-    _pred: dict = field(init=False, repr=False, compare=False)
+    __slots__ = ("nodes", "edges", "circuits", "cones", "_succ", "_pred", "__dict__")
 
-    def __post_init__(self):
+    def __init__(self, nodes: tuple[CircuitKey, ...], edges: tuple[tuple[CircuitKey, CircuitKey], ...],
+                 circuits: dict, cones: dict):
         succ: dict[CircuitKey, list[CircuitKey]] = {}
         pred: dict[CircuitKey, list[CircuitKey]] = {}
-        for a, b in self.edges:
+        for a, b in edges:
             succ.setdefault(a, []).append(b)
             pred.setdefault(b, []).append(a)
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "circuits", circuits)
+        object.__setattr__(self, "cones", cones)
         object.__setattr__(self, "_succ", succ)
         object.__setattr__(self, "_pred", pred)
+
+    def _key(self) -> tuple:
+        return self.nodes, self.edges, self.circuits, self.cones
 
     def successors(self, key: CircuitKey) -> list[CircuitKey]:
         return list(self._succ.get(key, ()))
@@ -70,15 +72,20 @@ class StepKind(enum.Enum):
     IDENTITY = "identity"
 
 
-@dataclass(frozen=True)
-class FactorStep:
+class FactorStep(Value):
     """One crossing: its kind, downstairs center (for blowups/blowdowns),
     the circuit crossed, and the front fan it produced."""
 
-    kind: StepKind
-    center: Vec | None
-    circuit: CircuitKey
-    result: Fan
+    __slots__ = ("kind", "center", "circuit", "result")
+
+    def __init__(self, kind: StepKind, center: Vec | None, circuit: CircuitKey, result: Fan):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "center", center)
+        object.__setattr__(self, "circuit", circuit)
+        object.__setattr__(self, "result", result)
+
+    def _key(self) -> tuple:
+        return self.kind, self.center, self.circuit, self.result
 
 
 def circuit_graph(cob: Cobordism) -> CollapseGraph:

@@ -10,8 +10,6 @@ yet has a circuit cycle, so no crossing order exists at all.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import AssertionFailed, EqualRays, BrokenFan, NotAllPointingUp, NotCollapsible
 from .exact import Vec, primitive
 from . import fan as fanmod
@@ -32,6 +30,7 @@ from .collapse import (
     is_pi_nonsingular,
 )
 from .fan import Fan, SimplicialCone
+from .value import Value
 
 
 def midray(a: Vec, b: Vec) -> Vec:
@@ -42,13 +41,18 @@ def midray(a: Vec, b: Vec) -> Vec:
     return primitive(tuple(x + y for x, y in zip(a, b)))
 
 
-@dataclass(frozen=True)
-class ScheduleEntry:
+class ScheduleEntry(Value):
     """A planned subdivision: the source cone and the midray center inside
     the relative interior of one of its 2-faces."""
 
-    cone: SimplicialCone
-    center: Vec
+    __slots__ = ("cone", "center")
+
+    def __init__(self, cone: SimplicialCone, center: Vec):
+        object.__setattr__(self, "cone", cone)
+        object.__setattr__(self, "center", center)
+
+    def _key(self) -> tuple:
+        return self.cone, self.center
 
 
 def positive_link_centers(cob: Cobordism) -> list[ScheduleEntry]:
@@ -100,19 +104,31 @@ def run_schedule(fan: Fan, centers) -> Fan:
     return fan
 
 
-@dataclass(frozen=True)
-class DemoReport:
+class DemoReport(Value):
     """Everything the pointing-up failure run certifies, exactly."""
 
-    cobordism: Cobordism
-    census: tuple[tuple[SimplicialCone, ConeClass, int, int], ...]
-    collapse_order: tuple[CircuitKey, ...]
-    schedule: tuple[ScheduleEntry, ...]
-    three_negative_cone: SimplicialCone
-    final_fan: Fan
-    mixed_cone: SimplicialCone
-    mixed_pos: tuple[Vec, ...]
-    mixed_neg: tuple[Vec, ...]
+    __slots__ = ("cobordism", "census", "collapse_order", "schedule", "three_negative_cone",
+                 "final_fan", "mixed_cone", "mixed_pos", "mixed_neg")
+
+    def __init__(self, cobordism: Cobordism,
+                 census: tuple[tuple[SimplicialCone, ConeClass, int, int], ...],
+                 collapse_order: tuple[CircuitKey, ...], schedule: tuple[ScheduleEntry, ...],
+                 three_negative_cone: SimplicialCone, final_fan: Fan, mixed_cone: SimplicialCone,
+                 mixed_pos: tuple[Vec, ...], mixed_neg: tuple[Vec, ...]):
+        object.__setattr__(self, "cobordism", cobordism)
+        object.__setattr__(self, "census", census)
+        object.__setattr__(self, "collapse_order", collapse_order)
+        object.__setattr__(self, "schedule", schedule)
+        object.__setattr__(self, "three_negative_cone", three_negative_cone)
+        object.__setattr__(self, "final_fan", final_fan)
+        object.__setattr__(self, "mixed_cone", mixed_cone)
+        object.__setattr__(self, "mixed_pos", mixed_pos)
+        object.__setattr__(self, "mixed_neg", mixed_neg)
+
+    def _key(self) -> tuple:
+        return (self.cobordism, self.census, self.collapse_order, self.schedule,
+                self.three_negative_cone, self.final_fan, self.mixed_cone, self.mixed_pos,
+                self.mixed_neg)
 
     def summary(self) -> dict:
         return {

@@ -19,7 +19,6 @@ gcd (Cauchy-Binet).
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import (
@@ -245,6 +244,8 @@ def solve_in_span(vectors, target) -> tuple[Fraction, ...] | None:
         raise DependentInput("solve_in_span needs independent vectors")
     if len(piv) > k:
         return None
+    from fractions import Fraction  # imported where one is built: `import fancob` stays off it
+
     return tuple(Fraction(row[k], den * s) for row in red[:k])
 
 

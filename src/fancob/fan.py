@@ -57,7 +57,6 @@ import itertools
 import operator
 import warnings
 from collections.abc import Iterator
-from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import mul
 
@@ -74,6 +73,7 @@ from .exact import (
     rank,
     vec_sub,
 )
+from .value import Value
 
 
 _RAYS = operator.attrgetter("rays")  # the sort key of fan order
@@ -83,19 +83,17 @@ class RayNormalized(UserWarning):
     """A document carried a non-primitive ray; the loader normalized it."""
 
 
-@dataclass(frozen=True)
-class SimplicialCone:
+class SimplicialCone(Value):
     """A strongly convex simplicial cone, given by primitive ray generators.
 
-    The hash is computed once here (the value the dataclass hash gives),
-    because cones key every geometry cache and front set.
+    The hash, hash((rays,)), is computed once here, because cones key every
+    geometry cache and front set.
     """
 
-    rays: tuple[Vec, ...]
-    _hash: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("rays", "_hash")
 
-    def __post_init__(self):
-        rays = tuple(sorted(tuple(operator.index(x) for x in r) for r in self.rays))
+    def __init__(self, rays):
+        rays = tuple(sorted(tuple(operator.index(x) for x in r) for r in rays))
         object.__setattr__(self, "rays", rays)
         object.__setattr__(self, "_hash", hash((rays,)))
         if not rays:
@@ -137,6 +135,15 @@ class SimplicialCone:
     def has_face(self, other: "SimplicialCone") -> bool:
         return set(other.rays) <= set(self.rays)
 
+    def _key(self) -> tuple:
+        return (self.rays,)
+
+    def __eq__(self, other):
+        # Value.__eq__ inlined: cones are compared on cache and front-set lookups
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.rays == other.rays
+
     def __hash__(self) -> int:
         return self._hash
 
@@ -144,8 +151,7 @@ class SimplicialCone:
         return "cone" + str(list(self.rays))
 
 
-@dataclass(frozen=True)
-class Fan:
+class Fan(Value):
     """A simplicial fan: ambient dimension plus its maximal cones.
 
     The constructor checks only cheap structural facts (matching dimensions,
@@ -153,19 +159,22 @@ class Fan:
     malformed input can be loaded and reported on rather than crashing.
     """
 
-    ambient_dim: int
-    max_cones: tuple[SimplicialCone, ...]
+    __slots__ = ("ambient_dim", "max_cones")
 
-    def __post_init__(self):
-        if self.ambient_dim < 1:
+    def __init__(self, ambient_dim: int, max_cones):
+        if ambient_dim < 1:
             raise ValueError("ambient dimension must be positive")
-        cones = tuple(sorted(set(self.max_cones), key=_RAYS))
+        cones = tuple(sorted(set(max_cones), key=_RAYS))
+        object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "max_cones", cones)
         for c in cones:
-            if c.ambient_dim != self.ambient_dim:
+            if c.ambient_dim != ambient_dim:
                 raise DimensionMismatch(
-                    f"cone {c} lives in dim {c.ambient_dim}, fan in {self.ambient_dim}"
+                    f"cone {c} lives in dim {c.ambient_dim}, fan in {ambient_dim}"
                 )
+
+    def _key(self) -> tuple:
+        return self.ambient_dim, self.max_cones
 
     @classmethod
     def _sorted(cls, ambient_dim: int, cones) -> "Fan":
@@ -186,11 +195,16 @@ class Fan:
         return f"Fan(dim={self.ambient_dim}, {len(self.max_cones)} max cones)"
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(Value):
     """Outcome of a validity check: empty problem list means valid."""
 
-    problems: tuple[str, ...] = ()
+    __slots__ = ("problems",)
+
+    def __init__(self, problems: tuple[str, ...] = ()):
+        object.__setattr__(self, "problems", problems)
+
+    def _key(self) -> tuple:
+        return (self.problems,)
 
     @property
     def ok(self) -> bool:
