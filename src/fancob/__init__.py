@@ -24,14 +24,11 @@ from .errors import (
     NotAllPointingUp,
     NotCollapsible,
     NotInSupport,
-    NullityTooLarge,
     ParseError,
     ZeroVector,
 )
 from .exact import (
-    kernel_relation,
     maximal_minor_gcd,
-    nonneg_combination,
     primitive,
     rank,
 )
@@ -42,18 +39,14 @@ from .fan import (
     cone_contains,
     fan_from_doc,
     fan_to_doc,
-    fans_equal,
     is_smooth,
-    minimal_containing_cone,
     star_subdivide,
-    supports_equal,
     validate_fan,
 )
 from .cobordism import (
     Circuit,
     Cobordism,
     ConeClass,
-    Side,
     boundary,
     build_cobordism,
     circuit_of,

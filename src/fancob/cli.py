@@ -5,7 +5,9 @@ Exit codes: 0 when every check passed, 1 when a geometric check failed
 stdout was closed before the report was written, 2 for input or parse errors
 (a document that is missing, undecodable or malformed, or an --out or --dot
 path that cannot be written).  All geometry lives in the library modules;
-this module only loads documents, calls them, and prints.
+this module only loads documents, calls them, and prints.  Each cmd_*
+returns (exit code, --json report, text lines), and main prints the report
+or the lines.
 """
 
 from __future__ import annotations
@@ -37,21 +39,6 @@ from .cobordism import (
     validate_cobordism,
 )
 from .fan import Fan, fan_from_doc, validate_fan
-from .value import Value
-
-
-class CommandResult(Value):
-    """A command's exit code, its --json report and its text lines."""
-
-    __slots__ = ("exit_code", "report", "lines")
-
-    def __init__(self, exit_code: int, report: dict, lines: list[str] | None = None):
-        object.__setattr__(self, "exit_code", exit_code)
-        object.__setattr__(self, "report", report)
-        object.__setattr__(self, "lines", [] if lines is None else lines)
-
-    def _key(self) -> tuple:
-        return self.exit_code, self.report, self.lines
 
 
 def _load_json(path: str):
@@ -116,7 +103,7 @@ def _guess_kind(path: str, kind: str | None) -> str:
 
 
 def cmd_validate(path: str, kind: str | None = None, bottom: str | None = None,
-                 top: str | None = None) -> CommandResult:
+                 top: str | None = None) -> tuple[int, dict, list[str]]:
     kind = _guess_kind(path, kind)
     if kind == "fan":
         fan = load_fan(path)
@@ -135,14 +122,11 @@ def cmd_validate(path: str, kind: str | None = None, bottom: str | None = None,
     lines = [head]
     lines += [f"problem: {p}" for p in report.problems]
     lines.append("result: valid" if report.ok else "result: INVALID")
-    return CommandResult(
-        exit_code=0 if report.ok else 1,
-        report={"kind": kind, "valid": report.ok, "problems": list(report.problems)},
-        lines=lines,
-    )
+    doc = {"kind": kind, "valid": report.ok, "problems": list(report.problems)}
+    return 0 if report.ok else 1, doc, lines
 
 
-def cmd_circuits(path: str) -> CommandResult:
+def cmd_circuits(path: str) -> tuple[int, dict, list[str]]:
     cob, _, _ = load_cobordism(path)
     rows = []
     for cone, circ in zip(cob.fan.max_cones, cob.circuits):
@@ -168,10 +152,10 @@ def cmd_circuits(path: str) -> CommandResult:
                 f"pos {_vecs_str(circ.pos)}  neg {_vecs_str(circ.neg)}  "
                 f"link {_vecs_str(circ.link)}"
             )
-    return CommandResult(exit_code=0, report={"rows": rows}, lines=lines)
+    return 0, {"rows": rows}, lines
 
 
-def cmd_collapse(path: str, dot: str | None = None) -> CommandResult:
+def cmd_collapse(path: str, dot: str | None = None) -> tuple[int, dict, list[str]]:
     cob, _, _ = load_cobordism(path)
     graph = collapsemod.circuit_graph(cob)
     ok, witness = collapsemod._collapse_order(graph)
@@ -190,19 +174,17 @@ def cmd_collapse(path: str, dot: str | None = None) -> CommandResult:
         "nodes": len(graph.nodes),
         "edges": len(graph.edges),
     }
-    return CommandResult(exit_code=0 if ok else 1, report=report, lines=lines)
+    return 0 if ok else 1, report, lines
 
 
-def cmd_factorize(path: str, elide_identity: bool = False, out: str | None = None) -> CommandResult:
+def cmd_factorize(path: str, elide_identity: bool = False,
+                  out: str | None = None) -> tuple[int, dict, list[str]]:
     cob, _, _ = load_cobordism(path)
     try:
         steps = collapsemod.extract_factorization(cob, elide_identity=elide_identity)
     except (NotCollapsible, FrontMismatch, BrokenFan, InvalidFan) as exc:
-        return CommandResult(
-            exit_code=1,
-            report={"error": type(exc).__name__, "message": str(exc)},
-            lines=[f"error: {type(exc).__name__}: {exc}"],
-        )
+        name = type(exc).__name__
+        return 1, {"error": name, "message": str(exc)}, [f"error: {name}: {exc}"]
     doc = collapsemod.transcript(steps)
     if out:
         _write(out, json.dumps(doc, indent=2, sort_keys=True) + "\n")
@@ -213,10 +195,10 @@ def cmd_factorize(path: str, elide_identity: bool = False, out: str | None = Non
             f"[{i}] {step.kind.value} center={center} "
             f"front={len(step.result.max_cones)} cones"
         )
-    return CommandResult(exit_code=0, report=doc, lines=lines)
+    return 0, doc, lines
 
 
-def cmd_build(path: str, centers: str, out: str | None = None) -> CommandResult:
+def cmd_build(path: str, centers: str, out: str | None = None) -> tuple[int, dict, list[str]]:
     fan = load_fan(path)
     center_vecs = parse_centers(centers, fan.ambient_dim)
     cob = build_cobordism(fan, center_vecs)
@@ -230,14 +212,10 @@ def cmd_build(path: str, centers: str, out: str | None = None) -> CommandResult:
         f"built cobordism with {len(cob.fan.max_cones)} maximal cones -> {out}",
         "census: " + ", ".join(f"{k}={v}" for k, v in sorted(census.items())),
     ]
-    return CommandResult(
-        exit_code=0,
-        report={"maximal_cones": len(cob.fan.max_cones), "census": census, "out": out},
-        lines=lines,
-    )
+    return 0, {"maximal_cones": len(cob.fan.max_cones), "census": census, "out": out}, lines
 
 
-def cmd_demo(name: str) -> CommandResult:
+def cmd_demo(name: str) -> tuple[int, dict, list[str]]:
     if name == "karu":
         report = demos.karu_counterexample()
         summary = report.summary()
@@ -250,7 +228,7 @@ def cmd_demo(name: str) -> CommandResult:
             "  neg: " + _vecs_str(report.mixed_neg),
             "verdict: schedule does not preserve pointing-up",
         ]
-        return CommandResult(exit_code=0, report=summary, lines=lines)
+        return 0, summary, lines
     summary = demos.noncollapsible_report()
     lines = [
         "valid cobordism between the plane fan and itself",
@@ -258,16 +236,7 @@ def cmd_demo(name: str) -> CommandResult:
         "collapsible: no",
         "cycle: " + " -> ".join(_vecs_str([tuple(r) for r in key]) for key in summary["cycle"]),
     ]
-    return CommandResult(exit_code=0, report=summary, lines=lines)
-
-
-def _emit(result: CommandResult, as_json: bool) -> int:
-    if as_json:
-        print(json.dumps(result.report, indent=2, sort_keys=True))
-    else:
-        for line in result.lines:
-            print(line)
-    return result.exit_code
+    return 0, summary, lines
 
 
 def main(argv=None) -> int:
@@ -279,45 +248,43 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("validate", help="check a fan or cobordism document")
+    p.set_defaults(run=cmd_validate)
     p.add_argument("path")
     p.add_argument("--kind", choices=["fan", "cobordism"])
     p.add_argument("--bottom", help="expected bottom fan document")
     p.add_argument("--top", help="expected top fan document")
 
     p = sub.add_parser("circuits", help="per-cone circuit table of a cobordism")
+    p.set_defaults(run=cmd_circuits)
     p.add_argument("path")
 
     p = sub.add_parser("collapse", help="collapsibility verdict and witness")
+    p.set_defaults(run=cmd_collapse)
     p.add_argument("path")
     p.add_argument("--dot", help="write the circuit graph as graphviz")
 
     p = sub.add_parser("factorize", help="extract the blowup/blowdown sequence")
+    p.set_defaults(run=cmd_factorize)
     p.add_argument("path")
     p.add_argument("--elide-identity", action="store_true")
     p.add_argument("--out", help="write the transcript document")
 
     p = sub.add_parser("build", help="record star subdivisions as a cobordism")
+    p.set_defaults(run=cmd_build)
     p.add_argument("path", help="fan document")
     p.add_argument("--centers", required=True, help='e.g. "(1,1,0);(0,1,1)"')
     p.add_argument("--out", help="output cobordism document")
 
     p = sub.add_parser("demo", help="run a built-in verification bundle")
+    p.set_defaults(run=cmd_demo)
     p.add_argument("name", choices=["karu", "noncollapsible"])
 
-    args = parser.parse_args(argv)
+    # the remaining dests are the handler's parameters
+    args = vars(parser.parse_args(argv))
+    as_json, run = args.pop("json"), args.pop("run")
+    del args["command"]
     try:
-        if args.command == "validate":
-            result = cmd_validate(args.path, args.kind, args.bottom, args.top)
-        elif args.command == "circuits":
-            result = cmd_circuits(args.path)
-        elif args.command == "collapse":
-            result = cmd_collapse(args.path, args.dot)
-        elif args.command == "factorize":
-            result = cmd_factorize(args.path, args.elide_identity, args.out)
-        elif args.command == "build":
-            result = cmd_build(args.path, args.centers, args.out)
-        else:
-            result = cmd_demo(args.name)
+        code, report, lines = run(**args)
     except (ParseError, DimensionMismatch) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -325,7 +292,11 @@ def main(argv=None) -> int:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     try:
-        code = _emit(result, args.json)
+        if as_json:
+            print(json.dumps(report, indent=2, sort_keys=True))
+        else:
+            for line in lines:
+                print(line)
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader went away (e.g. `| head`); point stdout at devnull so

@@ -31,11 +31,6 @@ from .fan import Fan, SimplicialCone, ValidationReport, fan_from_doc, fan_to_doc
 from .value import Value
 
 
-class Side(enum.Enum):
-    LOWER = "lower"
-    UPPER = "upper"
-
-
 class ConeClass(enum.Enum):
     INDEPENDENT = "Independent"
     UP = "Up"
@@ -71,21 +66,20 @@ class Circuit(Value):
     def _key(self) -> tuple:
         return self.rays, self.relation, self.pos, self.neg, self.link
 
-    @property
-    def key(self) -> tuple[Vec, ...]:
-        return self.rays
-
 
 def circuit_of(cone: SimplicialCone) -> Circuit | None:
     """The circuit of a lifted cone, or None when it is projection-independent.
 
     A relation sum r_i pi(v_i) = 0 of the projected rays lifts to
     sum r_i v_i = (sum r_i h_i) e, e = e_{d+1}, so it exists iff e is in
-    span(cone) and is then D times e's coefficients, fan._coordinates(cone, e)
-    (None off the span), checked exactly to map the rays to a positive multiple of e.
+    span(cone), that is iff every span equality y has y[-1] = <y, e> = 0, and
+    is then D times e's coefficients, the last entries <n_i, e> of the
+    fan._cone_solver rows, checked exactly to map the rays to a positive
+    multiple of e.
     """
-    coords = fanmod._coordinates(cone, (0,) * (cone.ambient_dim - 1) + (1,))
-    return None if coords is None else _checked_circuit(cone, primitive(coords))
+    if cone.dim < cone.ambient_dim and any(y[-1] for y in fanmod._span_equalities(cone)):
+        return None
+    return _checked_circuit(cone, primitive([n[-1] for n in fanmod._cone_solver(cone)]))
 
 
 def _checked_circuit(cone: SimplicialCone, rel: tuple[int, ...]) -> Circuit:
@@ -128,9 +122,9 @@ def classify(cone: SimplicialCone) -> ConeClass:
     return circuit_class(circuit_of(cone))
 
 
-def boundary(fan: Fan, side: Side) -> tuple[SimplicialCone, ...]:
-    """The lower (upper) boundary faces of a lifted fan without vertical rays,
-    in canonical order.
+def boundary(fan: Fan) -> tuple[tuple[SimplicialCone, ...], tuple[SimplicialCone, ...]]:
+    """The lower and upper boundary faces of a lifted fan without vertical
+    rays, each side in canonical order.
 
     With e = e_{d+1} the height direction and, for a maximal cone tau with e
     in its span, pos(tau) = circuit_of(tau).pos, the rays where e has a
@@ -181,8 +175,7 @@ def boundary(fan: Fan, side: Side) -> tuple[SimplicialCone, ...]:
     On a fan that fails validate_fan the same rule runs; its faces are then
     the rule's and carry no such guarantee.
     """
-    lower, upper = _boundaries(fan, [circuit_of(c) for c in fan.max_cones])
-    return lower if side is Side.LOWER else upper
+    return _boundaries(fan, [circuit_of(c) for c in fan.max_cones])
 
 
 def _boundaries(fan: Fan, circuits: list[Circuit | None]) -> tuple[tuple[SimplicialCone, ...], ...]:
@@ -248,8 +241,9 @@ class Cobordism(Value):
                 self.bottom, self.top, self.circuits)
 
     @classmethod
-    def from_fan(cls, fan: Fan, base_dim: int | None = None) -> "Cobordism":
-        """The cobordism of a lifted fan; a vertical ray raises InvalidFan.
+    def from_fan(cls, fan: Fan) -> "Cobordism":
+        """The cobordism of a lifted fan, over base dimension
+        fan.ambient_dim - 1; a vertical ray raises InvalidFan.
 
         Computes each maximal cone's circuit once (kept as circuits), the
         boundary faces read off them and their projections, and nothing
@@ -257,24 +251,19 @@ class Cobordism(Value):
         validate_fan (checked by validate_cobordism, not here) are they the
         boundary proved in boundary's docstring.
         """
-        if base_dim is None:
-            base_dim = fan.ambient_dim - 1
-        if fan.ambient_dim != base_dim + 1:
-            raise DimensionMismatch(
-                f"lifted fan dim {fan.ambient_dim} != base_dim {base_dim} + 1"
-            )
-        if base_dim < 1:
+        if fan.ambient_dim < 2:
             raise ValueError("base dimension must be positive")
         for r in fan.rays:
             if all(x == 0 for x in base_part(r)):
                 raise InvalidFan(f"vertical ray {r} (zero projection) is not allowed")
-        return cls._with_circuits(fan, base_dim, tuple(circuit_of(c) for c in fan.max_cones))
+        return cls._with_circuits(fan, tuple(circuit_of(c) for c in fan.max_cones))
 
     @classmethod
-    def _with_circuits(cls, fan: Fan, base_dim: int, circuits) -> "Cobordism":
-        """The cobordism of a lifted fan of dim base_dim + 1 >= 2 without
-        vertical rays, given the circuit of each maximal cone in fan order
-        (each caller says why they are those of circuit_of)."""
+    def _with_circuits(cls, fan: Fan, circuits) -> "Cobordism":
+        """The cobordism of a lifted fan of dim >= 2 without vertical rays,
+        given the circuit of each maximal cone in fan order (each caller
+        says why they are those of circuit_of)."""
+        base_dim = fan.ambient_dim - 1
         lower, upper = _boundaries(fan, circuits)
         return cls(
             base_dim=base_dim,
@@ -334,9 +323,9 @@ def validate_cobordism(
     problems += _cone_problems(cob)
     for name, bfan in (("bottom", cob.bottom), ("top", cob.top)):
         problems += [f"{name}: {p}" for p in fanmod.validate_fan(bfan).problems]
-    if expected_bottom is not None and not fanmod.fans_equal(cob.bottom, expected_bottom):
+    if expected_bottom is not None and cob.bottom != expected_bottom:
         problems.append("bottom fan differs from the expected fan")
-    if expected_top is not None and not fanmod.fans_equal(cob.top, expected_top):
+    if expected_top is not None and cob.top != expected_top:
         problems.append("top fan differs from the expected fan")
     return ValidationReport(tuple(problems))
 
@@ -501,7 +490,7 @@ def build_cobordism(delta: Fan, centers, heights=None) -> Cobordism:
     # lifted rays have nonzero base parts, the rays of delta and the centers
     lifted_fan = Fan(delta.ambient_dim + 1, tuple(lifted))
     circuits = tuple(lifted[c] for c in lifted_fan.max_cones)
-    cob = Cobordism._with_circuits(lifted_fan, delta.ambient_dim, circuits)
+    cob = Cobordism._with_circuits(lifted_fan, circuits)
     if (cob.bottom, cob.top) != (delta, current) or _cone_problems(cob):  # runs under -O too
         raise AssertionFailed("constructed cobordism breaks a proved invariant")
     return cob
@@ -541,4 +530,4 @@ def cobordism_from_doc(doc) -> tuple[Cobordism, Fan | None, Fan | None]:
     )
     stored_bottom = fan_from_doc(doc["bottom"]) if "bottom" in doc else None
     stored_top = fan_from_doc(doc["top"]) if "top" in doc else None
-    return Cobordism.from_fan(lifted, base_dim), stored_bottom, stored_top
+    return Cobordism.from_fan(lifted), stored_bottom, stored_top

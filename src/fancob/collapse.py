@@ -96,7 +96,7 @@ def circuit_graph(cob: Cobordism) -> CollapseGraph:
     for cone, circ in zip(cob.fan.max_cones, cob.circuits):
         if circ is None:
             continue
-        key = circ.key
+        key = circ.rays
         if key in circuits:
             prev = circuits[key]
             if (prev.pos, prev.neg) != (circ.pos, circ.neg):

@@ -288,7 +288,7 @@ def noncollapsible_example() -> Cobordism:
         SimplicialCone((lift(v2, 1), lift(v3, 0), lift(v3, 1))),
         SimplicialCone((lift(v3, 1), lift(v1, 0), lift(v1, 1))),
     )
-    return Cobordism.from_fan(Fan(3, cones), 2)
+    return Cobordism.from_fan(Fan(3, cones))
 
 
 def noncollapsible_report() -> dict:

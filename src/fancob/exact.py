@@ -53,9 +53,7 @@ def _common_dim(vs) -> int:
 
 def primitive(v) -> Vec:
     """v divided by the gcd of its entries; same direction, entry gcd 1."""
-    g = 0
-    for x in v:
-        g = gcd(g, x)
+    g = gcd(*v)
     if g == 0:
         raise ZeroVector("the zero vector has no primitive generator")
     if g == 1:
@@ -64,10 +62,7 @@ def primitive(v) -> Vec:
 
 
 def is_primitive(v) -> bool:
-    g = 0
-    for x in v:
-        g = gcd(g, x)
-    return g == 1
+    return gcd(*v) == 1
 
 
 def _reduce(rows) -> tuple[list[list[int]], list[int], int, int]:

@@ -589,11 +589,6 @@ def _split_at(cones: _IndexedCones, center: Vec, tau: SimplicialCone) -> list[Si
     return star
 
 
-def fans_equal(a: Fan, b: Fan) -> bool:
-    """Equality of canonicalized maximal-cone sets."""
-    return a.ambient_dim == b.ambient_dim and a.max_cones == b.max_cones
-
-
 # --- exact support covering -----------------------------------------------------
 
 

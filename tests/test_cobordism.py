@@ -13,7 +13,6 @@ from fancob.cobordism import (
     Cobordism,
     _checked_circuit,
     ConeClass,
-    Side,
     boundary,
     build_cobordism,
     circuit_of,
@@ -30,7 +29,7 @@ from fancob.errors import (
     InvalidFan,
 )
 from fancob.exact import primitive, rank
-from fancob.fan import Fan, SimplicialCone, fans_equal, star_subdivide
+from fancob.fan import Fan, SimplicialCone, star_subdivide
 from conftest import (
     FIXTURES,
     KARU_CENTERS,
@@ -176,7 +175,7 @@ class TestClassify:
 
 class TestBoundary:
     def test_cyclic_example_lower(self, cyclic):
-        lower = boundary(cyclic.fan, Side.LOWER)
+        lower, _ = boundary(cyclic.fan)
         expected = {
             SimplicialCone(((1, 0, 0), (0, 1, 0))),
             SimplicialCone(((0, 1, 0), (-1, -1, 0))),
@@ -185,7 +184,7 @@ class TestBoundary:
         assert set(lower) == expected
 
     def test_cyclic_example_upper(self, cyclic):
-        upper = boundary(cyclic.fan, Side.UPPER)
+        _, upper = boundary(cyclic.fan)
         expected = {
             SimplicialCone(((1, 0, 1), (0, 1, 1))),
             SimplicialCone(((0, 1, 1), (-1, -1, 1))),
@@ -198,8 +197,8 @@ class TestBoundary:
             SimplicialCone(((1, 0, 0), (0, 1, 0))),
             SimplicialCone(((0, 1, 0), (-1, -1, 0))),
         ))
-        assert set(boundary(flat, Side.LOWER)) == set(flat.max_cones)
-        assert set(boundary(flat, Side.UPPER)) == set(flat.max_cones)
+        lower, upper = boundary(flat)
+        assert set(lower) == set(upper) == set(flat.max_cones)
 
     def test_faces_non_nested_and_injective(self, karu):
         for faces in (karu.lower_faces, karu.upper_faces):
@@ -276,10 +275,10 @@ class TestValidateCobordism:
 
     def test_vertical_ray_rejected(self):
         with pytest.raises(InvalidFan):
-            Cobordism.from_fan(Fan(3, (SimplicialCone(((1, 0, 0), (0, 0, 1))),)), 2)
+            Cobordism.from_fan(Fan(3, (SimplicialCone(((1, 0, 0), (0, 0, 1))),)))
 
     def test_degenerate_circuit_reported(self):
-        cob = Cobordism.from_fan(Fan(2, (SimplicialCone(((1, 1), (-1, 1))),)), 1)
+        cob = Cobordism.from_fan(Fan(2, (SimplicialCone(((1, 1), (-1, 1))),)))
         report = validate_cobordism(cob)
         assert not report.ok
         assert any("degenerate" in p for p in report.problems)
@@ -303,17 +302,17 @@ class TestBuildCobordism:
             assert len(circ.pos) == 1 and len(circ.link) == 1
 
     def test_karu_boundaries(self, karu):
-        assert fans_equal(karu.bottom, orthant_fan())
+        assert karu.bottom == orthant_fan()
         top = orthant_fan()
         for center in KARU_CENTERS:
             top = star_subdivide(top, center)
-        assert fans_equal(karu.top, top)
+        assert karu.top == top
 
     def test_empty_centers(self):
         cob = build_cobordism(orthant_fan(), [])
         assert all(len(c.rays) == 3 for c in cob.fan.max_cones)
-        assert fans_equal(cob.bottom, orthant_fan())
-        assert fans_equal(cob.top, orthant_fan())
+        assert cob.bottom == orthant_fan()
+        assert cob.top == orthant_fan()
 
     def test_single_center(self):
         cob = build_cobordism(orthant_fan(), [(1, 1, 0)])
@@ -322,7 +321,7 @@ class TestBuildCobordism:
 
     def test_untouched_cones_lift_at_zero(self, p2):
         cob = build_cobordism(p2, [(1, 1)])
-        assert fans_equal(cob.bottom, p2)
+        assert cob.bottom == p2
         heights = {r[-1] for c in cob.fan.max_cones for r in c.rays if len(c.rays) == 2}
         assert heights == {0}
 
@@ -373,8 +372,8 @@ class TestRandomCorpus:
             fan = random_smooth_fan(rng)
             centers, final = random_center_sequence(rng, fan)
             cob = build_cobordism(fan, centers)
-            assert fans_equal(cob.bottom, fan)
-            assert fans_equal(cob.top, final)
+            assert cob.bottom == fan
+            assert cob.top == final
             for cone in cob.fan.max_cones:
                 circ = circuit_of(cone)
                 if circ is not None:
@@ -438,9 +437,9 @@ class TestDocuments:
         doc = cobordism_to_doc(karu)
         cob, stored_bottom, stored_top = cobordism_from_doc(doc)
         assert cob.fan == karu.fan
-        assert fans_equal(stored_bottom, karu.bottom)
-        assert fans_equal(stored_top, karu.top)
-        assert fans_equal(cob.bottom, karu.bottom)
+        assert stored_bottom == karu.bottom
+        assert stored_top == karu.top
+        assert cob.bottom == karu.bottom
 
     def test_empty_document(self):
         cob, b, t = cobordism_from_doc({"base_dim": 2, "rays": [], "max_cones": []})

@@ -35,7 +35,7 @@ from fancob.collapse import (
 from fancob.demos import karu_counterexample, run_schedule
 from fancob.errors import BrokenFan, FrontMismatch, InvalidFan, NotCollapsible
 from fancob.exact import primitive
-from fancob.fan import Fan, SimplicialCone, fans_equal, is_smooth, star_subdivide, validate_fan
+from fancob.fan import Fan, SimplicialCone, is_smooth, star_subdivide, validate_fan
 from conftest import FIXTURES, INVALID_BOTTOM_DOCS, orthant_fan, random_center_sequence, random_smooth_fan, ring_chain
 from test_facet_boundary import _orthant, fixture_cobordisms, random_build
 
@@ -76,7 +76,7 @@ class TestCircuitGraph:
         rng = random.Random(5)
         cones = list(karu.fan.max_cones)
         rng.shuffle(cones)
-        rebuilt = Cobordism.from_fan(Fan(4, tuple(cones)), 3)
+        rebuilt = Cobordism.from_fan(Fan(4, tuple(cones)))
         a, b = circuit_graph(karu), circuit_graph(rebuilt)
         assert a.nodes == b.nodes and a.edges == b.edges
 
@@ -108,7 +108,7 @@ def reflected(cob: Cobordism) -> Cobordism:
     build has three blowdowns sharing the positive ray (0,0,1,0), so every
     circuit points at the other two."""
     cones = tuple(SimplicialCone(tuple(r[:-1] + (-r[-1],) for r in c.rays)) for c in cob.fan.max_cones)
-    return Cobordism.from_fan(Fan(cob.fan.ambient_dim, cones), cob.base_dim)
+    return Cobordism.from_fan(Fan(cob.fan.ambient_dim, cones))
 
 
 class TestIsCollapsible:
@@ -127,7 +127,7 @@ class TestIsCollapsible:
         assert order == (D1, D2, D3)
 
     def test_empty(self):
-        cob = Cobordism.from_fan(Fan(3, ()), 2)
+        cob = Cobordism.from_fan(Fan(3, ()))
         assert is_collapsible(cob) == (True, ())
 
 
@@ -142,7 +142,7 @@ class TestIsPiNonsingular:
 
     def test_singular_face_detected(self):
         cone = SimplicialCone(((1, 0, 0), (1, 2, 0)))
-        cob = Cobordism.from_fan(Fan(3, (cone,)), 2)
+        cob = Cobordism.from_fan(Fan(3, (cone,)))
         ok, witness = is_pi_nonsingular(cob)
         assert not ok
         assert witness == cone
@@ -152,7 +152,7 @@ class TestIsPiNonsingular:
         # whose primitive (1,2) spans a smooth ray: the ray faces pass and
         # only the dependent pair face is skipped
         cone = SimplicialCone(((2, 4, 1), (0, 1, 0)))
-        cob = Cobordism.from_fan(Fan(3, (cone,)), 2)
+        cob = Cobordism.from_fan(Fan(3, (cone,)))
         ok, _ = is_pi_nonsingular(cob)
         assert ok
 
@@ -165,7 +165,7 @@ class TestExtractFactorization:
         top = orthant_fan()
         for center in [(1, 1, 0), (0, 1, 1), (1, 1, 1)]:
             top = star_subdivide(top, center)
-        assert fans_equal(steps[-1].result, top)
+        assert steps[-1].result == top
 
     def test_cyclic_example_not_collapsible(self, cyclic):
         with pytest.raises(NotCollapsible) as exc:
@@ -173,43 +173,39 @@ class TestExtractFactorization:
         assert len(exc.value.cycle) == 3
 
     def test_empty(self):
-        cob = Cobordism.from_fan(Fan(3, ()), 2)
+        cob = Cobordism.from_fan(Fan(3, ()))
         assert extract_factorization(cob) == []
 
     def test_identity_crossing_recorded_and_elided(self):
-        cob = Cobordism.from_fan(
-            Fan(3, (SimplicialCone(((1, 0, 0), (1, 0, 1), (0, 1, 0))),)), 2
-        )
+        cob = Cobordism.from_fan(Fan(3, (SimplicialCone(((1, 0, 0), (1, 0, 1), (0, 1, 0))),)))
         steps = extract_factorization(cob)
         assert [s.kind for s in steps] == [StepKind.IDENTITY]
         assert steps[0].center is None
-        assert fans_equal(steps[0].result, cob.bottom)
+        assert steps[0].result == cob.bottom
         assert extract_factorization(cob, elide_identity=True) == []
 
     def test_blowdown(self):
-        cob = Cobordism.from_fan(
-            Fan(3, (SimplicialCone(((1, 0, 1), (0, 1, 1), (1, 1, 0))),)), 2
-        )
+        cob = Cobordism.from_fan(Fan(3, (SimplicialCone(((1, 0, 1), (0, 1, 1), (1, 1, 0))),)))
         steps = extract_factorization(cob)
         assert [s.kind for s in steps] == [StepKind.BLOWDOWN]
         assert steps[0].center == (1, 1)
-        assert fans_equal(steps[0].result, cob.top)
+        assert steps[0].result == cob.top
 
     def test_flip(self):
         # the two triangulations of a quadrilateral cone, exchanged in one move
         cob = Cobordism.from_fan(
-            Fan(4, (SimplicialCone(((1, 2, 2, 5), (1, 1, 0, 1), (1, 2, 1, 3), (1, 1, 1, 1))),)), 3
+            Fan(4, (SimplicialCone(((1, 2, 2, 5), (1, 1, 0, 1), (1, 2, 1, 3), (1, 1, 1, 1))),))
         )
         steps = extract_factorization(cob)
         assert [s.kind for s in steps] == [StepKind.FLIP]
         assert steps[0].center is None
         assert len(cob.bottom.max_cones) == len(cob.top.max_cones) == 2
-        assert not fans_equal(cob.bottom, cob.top)
-        assert fans_equal(steps[0].result, cob.top)
+        assert cob.bottom != cob.top
+        assert steps[0].result == cob.top
 
     def test_degenerate_circuit_is_invalid(self):
         # a circuit of one sign names no blowup, blowdown or flip
-        cob = Cobordism.from_fan(Fan(2, (SimplicialCone(((1, 1), (-1, 1))),)), 1)
+        cob = Cobordism.from_fan(Fan(2, (SimplicialCone(((1, 1), (-1, 1))),)))
         with pytest.raises(InvalidFan, match="circuit .* is degenerate"):
             extract_factorization(cob)
 
@@ -218,7 +214,7 @@ class TestExtractFactorization:
         # its upper faces: the front after the swap would break, but the
         # circuit is refused first
         sigma = SimplicialCone(((1, 0, -1), (-1, 0, -1), (0, 1, 0)))
-        cob = Cobordism.from_fan(Fan(3, (sigma,)), 2)
+        cob = Cobordism.from_fan(Fan(3, (sigma,)))
         assert cob.circuits[0].pos == ()
         extra = SimplicialCone(((1, 1), (1, 2)))
         doctored = with_ends(cob, Fan(2, (extra,)))
@@ -374,7 +370,7 @@ def upstairs_builds() -> tuple[Cobordism, ...]:
                 cone = rng.choice(lifted.max_cones)
                 rays = rng.sample(cone.rays, rng.randint(2, len(cone.rays)))
                 lifted = run_schedule(lifted, [primitive(tuple(map(sum, zip(*rays))))])
-            up = Cobordism.from_fan(lifted, d)
+            up = Cobordism.from_fan(lifted)
             for cob in (up, reflected(up)):
                 if validate_cobordism(cob).ok and is_collapsible(cob)[0]:
                     out.append(cob)
@@ -386,7 +382,7 @@ def _next_to_up(cone: SimplicialCone, extra: SimplicialCone | None) -> Cobordism
     to one more lifted cone over the positive orthant; extra, when given,
     is added to the bottom and the top."""
     up = SimplicialCone(((-1, 0, 0, 0), (0, -1, 0, 0), (0, 0, -1, 0), (-1, -1, -1, 1)))
-    cob = Cobordism.from_fan(Fan(4, (up, cone)), 3)
+    cob = Cobordism.from_fan(Fan(4, (up, cone)))
     if extra is None:
         return cob
     return with_ends(cob, Fan(3, cob.bottom.max_cones + (extra,)), Fan(3, cob.top.max_cones + (extra,)))
@@ -659,7 +655,7 @@ class TestRandomCorpusProperties:
             for s in steps:
                 assert validate_fan(s.result).ok
                 assert supports_equal(s.result, fan)
-            assert fans_equal(steps[-1].result if steps else cob.bottom, final)
+            assert steps[-1].result if steps else cob.bottom == final
 
     def test_blowup_centers_are_smooth_face_barycenters(self, karu):
         # in the all-Up tower every center is the barycenter-primitive of a

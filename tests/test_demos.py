@@ -81,7 +81,7 @@ class TestPositiveLinkCenters:
         assert positive_link_centers(cob) == []
 
     def test_mixed_cone_rejected(self):
-        cob = Cobordism.from_fan(Fan(4, (MIXED,)), 3)
+        cob = Cobordism.from_fan(Fan(4, (MIXED,)))
         with pytest.raises(NotAllPointingUp):
             positive_link_centers(cob)
 
@@ -160,7 +160,7 @@ class TestKaruCounterexample:
 
     def test_boundary_supports_preserved(self):
         report = karu_counterexample()
-        final_cob = Cobordism.from_fan(report.final_fan, 3)
+        final_cob = Cobordism.from_fan(report.final_fan)
         assert supports_equal(final_cob.bottom, report.cobordism.bottom)
         assert supports_equal(final_cob.top, report.cobordism.top)
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import os
 import random
 import subprocess
@@ -54,6 +55,27 @@ class TestPrimitive:
     def test_zero_vector(self):
         with pytest.raises(ZeroVector):
             primitive((0, 0, 0))
+
+    def test_matches_the_gcd_fold(self):
+        def fold(v):
+            g = 0
+            for x in v:
+                g = math.gcd(g, x)
+            return g
+
+        rng = random.Random(41)
+        vectors = [(), (0,), (0, 0, 0), (0, -3), (-4, 0, 6), (7, -7)]
+        vectors += [tuple(rng.choice((0, rng.randint(-12, 12))) for _ in range(rng.randint(1, 6)))
+                    for _ in range(2000)]
+        assert sum(fold(v) == 0 for v in vectors) >= 10
+        for v in vectors:
+            g = fold(v)
+            assert is_primitive(v) == (g == 1), v
+            if g == 0:
+                with pytest.raises(ZeroVector):
+                    primitive(v)
+            else:
+                assert primitive(v) == tuple(x // g for x in v), v
 
 
 class TestRank:

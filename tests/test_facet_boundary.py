@@ -19,7 +19,6 @@ from fancob.cli import main
 from fancob.cobordism import (
     Circuit,
     Cobordism,
-    Side,
     boundary,
     build_cobordism,
     circuit_of,
@@ -67,10 +66,9 @@ def oracle_independent_faces(fan: Fan) -> list[tuple]:
     return [f for f in sorted(faces) if rank([r[:-1] for r in f]) == len(f)]
 
 
-def oracle_boundary(fan: Fan, side: Side) -> tuple[SimplicialCone, ...]:
-    """The maximal independent faces whose barycenter nudged by -e (+e)
-    leaves every cone."""
-    step = -1 if side is Side.LOWER else 1
+def oracle_boundary(fan: Fan, step: int) -> tuple[SimplicialCone, ...]:
+    """The maximal independent faces whose barycenter nudged by step * e
+    leaves every cone: the lower boundary for step -1, the upper for +1."""
     direction = (0,) * (fan.ambient_dim - 1) + (step,)
     out = []
     for face in oracle_independent_faces(fan):
@@ -88,10 +86,9 @@ def oracle_pi_nonsingular(cob: Cobordism):
 
 
 def assert_matches_oracles(cob: Cobordism) -> None:
-    for side, faces in ((Side.LOWER, cob.lower_faces), (Side.UPPER, cob.upper_faces)):
-        expected = oracle_boundary(cob.fan, side)
-        assert faces == expected, (side, cob.fan.max_cones)
-        assert boundary(cob.fan, side) == expected
+    expected = oracle_boundary(cob.fan, -1), oracle_boundary(cob.fan, 1)
+    assert (cob.lower_faces, cob.upper_faces) == expected, cob.fan.max_cones
+    assert boundary(cob.fan) == expected
     assert is_pi_nonsingular(cob) == oracle_pi_nonsingular(cob), cob.fan.max_cones
 
 
@@ -205,7 +202,7 @@ class TestFacetBoundary:
         corpus = fixture_cobordisms() + [
             noncollapsible_example(),
             karu.cobordism,
-            Cobordism.from_fan(karu.final_fan, 3),
+            Cobordism.from_fan(karu.final_fan),
         ]
         assert len(corpus) == 9
         for cob in corpus:
@@ -246,7 +243,7 @@ class TestFacetBoundary:
             fan = Fan(d + 1, tuple(cones))
             if not validate_fan(fan).ok:
                 continue
-            cob = Cobordism.from_fan(fan, d)
+            cob = Cobordism.from_fan(fan)
             assert_matches_oracles(cob)
             checked += 1
         assert checked >= 50, checked
@@ -274,7 +271,7 @@ class TestFacetBoundary:
                 lifted = Fan(d + 1, tuple(cones))
                 if not validate_fan(lifted).ok:
                     continue
-                assert_matches_oracles(Cobordism.from_fan(lifted, d))
+                assert_matches_oracles(Cobordism.from_fan(lifted))
                 checked += 1
                 mixed += any(
                     circuit_of(a) is not None and b.dim > a.dim and set(a.rays) & set(b.rays)
@@ -301,7 +298,7 @@ class TestFacetBoundary:
             if report.ok:
                 continue
             invalid += 1
-            doc = cobordism_to_doc(Cobordism.from_fan(fan, 2))
+            doc = cobordism_to_doc(Cobordism.from_fan(fan))
             del doc["bottom"], doc["top"]
             path = tmp_path / f"{i}.cob"
             path.write_text(json.dumps(doc))
@@ -349,6 +346,24 @@ class TestCircuitReading:
             kinds["degenerate"] += bool(circ and not (circ.pos and circ.neg))
         assert min(kinds.values()) >= 100 and min(dims.values()) >= 200, (kinds, dims)
 
+    def test_matches_the_coordinates_of_e(self):
+        # the former reading: D times e's coordinates on the rays, through
+        # fan._coordinates, which tests e against every span equality
+        def by_coordinates(cone):
+            coords = fanmod._coordinates(cone, (0,) * (cone.ambient_dim - 1) + (1,))
+            return None if coords is None else cobordism._checked_circuit(cone, primitive(coords))
+
+        rng = random.Random(662)
+        kinds = {"full": 0, "lower dependent": 0, "lower independent": 0}
+        for _ in range(600):
+            d = rng.randint(1, 4)
+            k = rng.randint(1, d + 1)
+            cone = random_lifted_cone(rng, d, k, dependent=rng.random() < 0.6)
+            circ = circuit_of(cone)
+            assert circ == by_coordinates(cone), cone
+            kinds["full" if k == d + 1 else "lower dependent" if circ else "lower independent"] += 1
+        assert min(kinds.values()) >= 100, kinds
+
     def test_built_cones(self):
         # every maximal cone of the fixtures, the demos and seeded builds
         karu = karu_counterexample()
@@ -377,7 +392,7 @@ def validate_fan_calls(monkeypatch) -> list[Fan]:
 
 class TestUpstairsValidation:
     def test_from_fan_makes_no_validate_fan_call(self, karu, validate_fan_calls):
-        assert Cobordism.from_fan(karu.fan, 3) == karu
+        assert Cobordism.from_fan(karu.fan) == karu
         for path in sorted(FIXTURES.glob("*.cob")):
             cobordism_from_doc(json.loads(path.read_text()))
         assert validate_fan_calls == []
@@ -390,7 +405,7 @@ class TestUpstairsValidation:
             SimplicialCone(((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 1, 1, 2))),
         ))
         validate_fan_calls.clear()
-        assert not validate_cobordism(Cobordism.from_fan(overlap, 3)).ok
+        assert not validate_cobordism(Cobordism.from_fan(overlap)).ok
         assert validate_fan_calls == [overlap]
 
     def test_build_validates_the_input_fan_only(self, validate_fan_calls):
@@ -548,7 +563,7 @@ class TestMaximalFaceSmoothness:
             try:
                 cones = tuple(SimplicialCone(tuple(bent if r == ray else r for r in c.rays))
                               for c in cob.fan.max_cones)
-                doctored = Cobordism.from_fan(Fan(4, cones), 3)
+                doctored = Cobordism.from_fan(Fan(4, cones))
             except (DependentInput, InvalidFan):
                 continue
             assert is_pi_nonsingular(doctored) == oracle_pi_nonsingular(doctored)

@@ -26,7 +26,6 @@ from fancob.fan import (
     covered_by_fan,
     fan_from_doc,
     fan_to_doc,
-    fans_equal,
     is_smooth,
     minimal_containing_cone,
     star_subdivide,
@@ -531,22 +530,22 @@ class TestStarSubdivide:
 class TestFansEqual:
     def test_reflexive(self):
         fan = p2_fan()
-        assert fans_equal(fan, fan)
+        assert fan == fan
 
     def test_reordered_cones(self):
         a = p2_fan()
         b = Fan(2, tuple(reversed(a.max_cones)))
-        assert fans_equal(a, b)
+        assert a == b
 
     def test_subdivision_differs(self):
         a = p2_fan()
-        assert not fans_equal(a, star_subdivide(a, (1, 1)))
+        assert a != star_subdivide(a, (1, 1))
 
     def test_symmetry_and_transitivity(self):
         a, b = p2_fan(), Fan(2, tuple(reversed(p2_fan().max_cones)))
         c = p2_fan()
-        assert fans_equal(a, b) == fans_equal(b, a)
-        assert fans_equal(a, b) and fans_equal(b, c) and fans_equal(a, c)
+        assert (a == b) == (b == a)
+        assert a == b and b == c and a == c
 
 
 class TestSupportCover:
@@ -949,11 +948,11 @@ class TestSupportCoverCompleteness:
 class TestDocuments:
     def test_round_trip(self):
         fan = p2_fan()
-        assert fans_equal(fan_from_doc(fan_to_doc(fan)), fan)
+        assert fan_from_doc(fan_to_doc(fan)) == fan
 
     def test_round_trip_tower(self):
         fan = star_subdivide(orthant_fan(), (1, 1, 0))
-        assert fans_equal(fan_from_doc(fan_to_doc(fan)), fan)
+        assert fan_from_doc(fan_to_doc(fan)) == fan
 
     def test_normalizes_with_warning(self):
         doc = {"dim": 2, "rays": [[2, 0], [0, 1]], "max_cones": [[0, 1]]}

@@ -32,7 +32,7 @@ class TestStoredCircuits:
         for case in corpus:
             cob = build_cobordism(case["fan"], case["centers"], case["heights"])
             assert cob.circuits == recomputed(cob), (case["fan"], case["centers"])
-            assert cob == Cobordism.from_fan(cob.fan, cob.base_dim)
+            assert cob == Cobordism.from_fan(cob.fan)
             for cone, circ in zip(cob.fan.max_cones, cob.circuits):
                 if circ is None:
                     seen["height-0 copies"] += 1
@@ -45,7 +45,7 @@ class TestStoredCircuits:
     def test_ring_chain_demos_and_fixtures(self):
         karu = karu_counterexample()
         cobs = [build_cobordism(*ring_chain(n)) for n in (8, 16, 32)]
-        cobs += [karu.cobordism, Cobordism.from_fan(karu.final_fan, 3), noncollapsible_example()]
+        cobs += [karu.cobordism, Cobordism.from_fan(karu.final_fan), noncollapsible_example()]
         cobs += [cobordism_from_doc(json.loads(p.read_text()))[0] for p in sorted(FIXTURES.glob("*.cob"))]
         assert len(cobs) == 12
         for cob in cobs:
