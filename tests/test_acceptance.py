@@ -126,7 +126,7 @@ def test_criterion_4_factorization_round_trip():
         assert all(s.kind is StepKind.BLOWUP for s in steps)
         for s in steps:
             assert validate_fan(s.result).ok
-        assert steps[-1].result if steps else cob.bottom == final
+        assert (steps[-1].result if steps else cob.bottom) == final
         cases += 1
     _report(4, f"{cases} random build/extract round trips", t0, 30.0)
 

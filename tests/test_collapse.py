@@ -655,7 +655,7 @@ class TestRandomCorpusProperties:
             for s in steps:
                 assert validate_fan(s.result).ok
                 assert supports_equal(s.result, fan)
-            assert steps[-1].result if steps else cob.bottom == final
+            assert (steps[-1].result if steps else cob.bottom) == final
 
     def test_blowup_centers_are_smooth_face_barycenters(self, karu):
         # in the all-Up tower every center is the barycenter-primitive of a
