@@ -85,8 +85,10 @@ def _reduce(rows) -> tuple[list[list[int]], list[int], int, int]:
         r = len(piv)
         if r == m:
             break
-        p = next((i for i in range(r, m) if a[i][c]), None)
-        if p is None:
+        for p in range(r, m):
+            if a[p][c]:
+                break
+        else:
             continue
         if p != r:
             a[r], a[p] = a[p], a[r]
@@ -106,7 +108,9 @@ def _scaled_inverse(mat) -> tuple[list[list[int]], int]:
     """(D * M^-1, D) for an invertible square integer matrix M, from one
     reduction of [M | I]."""
     n = len(mat)
-    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(mat)]
+    aug = [list(row) + [0] * n for row in mat]
+    for i, row in enumerate(aug):
+        row[n + i] = 1
     red, _, d, _ = _reduce(aug)
     return [row[n:] for row in red], d
 

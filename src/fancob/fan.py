@@ -5,14 +5,22 @@ order, fans store their maximal cones sorted, so equality and hashing are
 structural and deterministic.  Faces of a simplicial cone are never stored:
 every subset of the rays spans one.
 
-Each cone has one exact elimination (_cone_solver): the dual basis of its
-rays within their span, row n_i pairing to the same D > 0 with ray i and to
-0 with every other ray.  A point of the span has coordinate <n_i, x> / D on
+Each cone has one exact record (_cone_solver): the dual basis of its rays
+within their span, row n_i pairing to the same D > 0 with ray i and to 0
+with every other ray.  A point of the span has coordinate <n_i, x> / D on
 ray i.  Each row is an inward facet normal within the span, so membership
 (_coordinates), the support test's nudge (_stays_inside), the separating
 certificates, the pair test and the double-description cuts are sign tests
 on its rows, after a lower-dimensional cone's span equalities
 (_span_equalities) vanish on the point.
+
+A star subdivision hands each join c + (sigma - w) of a full-dimensional
+sigma its rows by one fraction-free exchange in place of an elimination
+(_split_at): with lambda_i = <n_i, c>, the row of c is n_w and the row of
+ray i is (lambda_w n_i - lambda_i n_w) / D, each pairing lambda_w with its
+own ray and 0 with the others.  The join's |det| is lambda_w by
+multilinearity, and D' * A'^-1 at D' = |det A'| is unique, so these are
+the rows an elimination gives, entry for entry.
 
 A running set of maximal cones (_IndexedCones) keeps them in fan order, by
 bisection on their rays, next to a ray -> cones index.  Point location
@@ -87,10 +95,12 @@ class SimplicialCone(Value):
     """A strongly convex simplicial cone, given by primitive ray generators.
 
     The hash, hash((rays,)), is computed once here, because cones key every
-    geometry cache and front set.
+    geometry cache and front set.  The private _dual_basis slot, set only by
+    _split_at on a join at its birth, hands _cone_solver the join's rows; it
+    takes no part in the value, hash, repr, copy or pickle.
     """
 
-    __slots__ = ("rays", "_hash")
+    __slots__ = ("rays", "_hash", "_dual_basis")
 
     def __init__(self, rays):
         rays = tuple(sorted(tuple(operator.index(x) for x in r) for r in rays))
@@ -238,19 +248,32 @@ def _cone_solver(cone: SimplicialCone) -> tuple[Vec, ...]:
     With (N, D) = (D * A^-1, D) from one reduction, the rows are those of N
     for the generator matrix A = M of a full-dimensional cone, and
     sum_j N_ij v_j for the Gram matrix A = G of a lower-dimensional one.
-    Rows are negated when D < 0.  The pairings are checked exactly.
+    Rows are negated when D < 0, so D = |det M| for a full-dimensional cone;
+    D * M^-1 at D = |det M| is unique.
+
+    A join born in _split_at carries its rows (_dual_basis), exchanged from
+    its parent's: the rows the reduction would give (see _split_at), with D
+    their pairing with the first ray.  Every other cone (input cones,
+    loaded documents, the joins of a lower-dimensional parent) is
+    eliminated.  The pairings are checked exactly either way.
     """
     v = cone.rays
-    if cone.dim == cone.ambient_dim:
-        inv, d = _scaled_inverse([[r[i] for r in v] for i in range(cone.dim)])
+    rows = getattr(cone, "_dual_basis", None)
+    if rows is not None:
+        d = sum(map(mul, rows[0], v[0]))
     else:
-        inv, d = _scaled_inverse([[dot(a, b) for b in v] for a in v])
-        inv = [[sum(map(mul, row, col)) for col in zip(*v)] for row in inv]
-    if d < 0:
-        d, inv = -d, [[-x for x in row] for row in inv]
-    rows = tuple(map(tuple, inv))
+        if cone.dim == cone.ambient_dim:
+            inv, d = _scaled_inverse([[r[i] for r in v] for i in range(cone.dim)])
+        else:
+            inv, d = _scaled_inverse([[dot(a, b) for b in v] for a in v])
+            inv = [[sum(map(mul, row, col)) for col in zip(*v)] for row in inv]
+        if d < 0:
+            d, inv = -d, [[-x for x in row] for row in inv]
+        rows = tuple(map(tuple, inv))
     for i, n in enumerate(rows):
-        if d <= 0 or any(sum(map(mul, n, r)) != (d if i == j else 0) for j, r in enumerate(v)):
+        pairings = [sum(map(mul, n, r)) for r in v]
+        # the pairing with ray i is D > 0, so the len(v) - 1 zeros are the rest
+        if d <= 0 or pairings[i] != d or pairings.count(0) != len(v) - 1:
             raise AssertionFailed(f"dual row {n} of {cone} does not pair with ray {i} alone")
     return rows
 
@@ -578,14 +601,42 @@ def _split_at(cones: _IndexedCones, center: Vec, tau: SimplicialCone) -> list[Si
     The star, the cones holding every ray of tau, is the intersection of
     the index sets of tau's rays: on any fan, valid or not, the cones a
     scan would pick.  Their joins with the center replace them in the set
-    and the index."""
+    and the index.
+
+    A join c + (sigma - w) of a full-dimensional sigma is born with its
+    dual basis, exchanged from sigma's _cone_solver rows n_i (pairing D with
+    ray v_i).  With lambda_i = <n_i, c>, so that c = sum_i lambda_i v_i / D
+    and lambda_w > 0, the row of c is n_w and the row of every other v_i is
+    (lambda_w n_i - lambda_i n_w) / D: each pairs lambda_w with its own ray
+    and 0 with the others, c included.  Replacing column v_w of sigma's
+    matrix by c scales |det| = D by lambda_w / D (multilinearity), so the
+    rows are D' * A'^-1 at D' = |det A'| = lambda_w, which is unique: the
+    integer rows an elimination gives, and the division is exact.  The
+    join's record is made at once, so the equal cones extract_factorization
+    rebuilds find it by value; _cone_solver checks its pairings.  A
+    lower-dimensional sigma's joins are eliminated."""
     star = sorted(cones.holding(tau.rays), key=_RAYS)
     for sigma in star:
         cones.remove(sigma)
+        exchange = sigma.dim == sigma.ambient_dim
+        if exchange:
+            rows = _cone_solver(sigma)
+            d = sum(map(mul, rows[0], sigma.rays[0]))
+            lam = [sum(map(mul, n, center)) for n in rows]
         # the center has a positive coefficient on w, so it lies off
         # span(sigma - w): each join is primitive, distinct and independent
         for w in tau.rays:
-            cones.add(SimplicialCone._face((center,) + tuple(r for r in sigma.rays if r != w)))
+            join = SimplicialCone._face((center,) + tuple(r for r in sigma.rays if r != w))
+            if exchange:
+                k = sigma.rays.index(w)
+                nw, lw = rows[k], lam[k]
+                dual = {center: nw}
+                for v, n, lv in zip(sigma.rays, rows, lam):
+                    if v != w:
+                        dual[v] = tuple((lw * x - lv * y) // d for x, y in zip(n, nw))
+                object.__setattr__(join, "_dual_basis", tuple(dual[r] for r in join.rays))
+                _cone_solver(join)
+            cones.add(join)
     return star
 
 

@@ -5,11 +5,12 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
 from fancob import fan as fanmod
-from fancob.errors import DependentInput, DimensionMismatch, NotInSupport, ParseError, ZeroVector
+from fancob.errors import AssertionFailed, DependentInput, DimensionMismatch, NotInSupport, ParseError, ZeroVector
 from fancob.exact import _scaled_inverse, dot, nonneg_combination, primitive, solve_in_span
 from fancob.fan import (
     Fan,
@@ -897,7 +898,108 @@ class TestOneDualBasisRecord:
         assert min(verdicts.count(True), verdicts.count(False)) >= 50, verdicts.count(True)
 
 
+def _random_full_cone(rng: random.Random, d: int) -> SimplicialCone:
+    while True:
+        try:
+            cone = SimplicialCone(tuple({_random_ray(rng, d) for _ in range(d)}))
+        except DependentInput:
+            continue
+        if cone.dim == d:
+            return cone
+
+
+class TestDualBasisHandOver:
+    """_split_at hands each join of a full-dimensional star cone the dual
+    basis exchanged from its parent's rows, and _cone_solver checks it."""
+
+    def test_matches_the_elimination(self):
+        # chains of splits from a random cone, non-smooth as a rule, through
+        # star_subdivide and _split_at in turn; later steps split joins
+        rng = random.Random(47)
+        joins = scaled = 0
+        for d in (2, 3, 4, 5):
+            for _ in range(40):
+                fan = Fan(d, (_random_full_cone(rng, d),))
+                for step in range(5):
+                    sigma = rng.choice(fan.max_cones)
+                    center = primitive(_combination(rng, rng.sample(sigma.rays, rng.randint(2, d))))
+                    if center in fan.rays:
+                        continue
+                    if step % 2:
+                        new = star_subdivide(fan, center)
+                    else:
+                        cones = fanmod._IndexedCones(fan.max_cones)
+                        fanmod._split_at(cones, center, fanmod._locate(cones, center)[0])
+                        new = Fan(d, cones.ordered)
+                    for join in set(new.max_cones) - set(fan.max_cones):
+                        assert join._dual_basis == fanmod._cone_solver(join)
+                        assert join._dual_basis == fanmod._cone_solver.__wrapped__(SimplicialCone(join.rays))
+                        joins += 1
+                        scaled += sum(map(mul, join._dual_basis[0], join.rays[0])) > 1
+                    fan = new
+        # D > 1 on most joins, so the exchange's division is not by 1
+        assert joins >= 3000 and scaled >= 0.9 * joins, (joins, scaled)
+
+    def test_lower_dimensional_parent_is_eliminated(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(fanmod, "_scaled_inverse", lambda m: calls.append(m) or _scaled_inverse(m))
+        caches = (fanmod._span_equalities, fanmod._cone_solver, fanmod._facet_normals)
+        try:
+            for parent, center in ((SimplicialCone((E1, E2)), (1, 1, 0)), (SimplicialCone((E1, E2, E3)), (1, 1, 1))):
+                for cache in caches:
+                    cache.cache_clear()
+                calls.clear()
+                joins = star_subdivide(Fan(3, (parent,)), center).max_cones
+                records = [fanmod._cone_solver(join) for join in joins]
+                # locating the center eliminates the parent; only the joins
+                # of a lower-dimensional one are eliminated too
+                full = parent.dim == 3
+                assert len(calls) == 1 + (0 if full else len(joins))
+                for join, rows in zip(joins, records):
+                    assert (getattr(join, "_dual_basis", None) is not None) == full
+                    assert rows == fanmod._cone_solver.__wrapped__(SimplicialCone(join.rays))
+        finally:
+            for cache in caches:
+                cache.cache_clear()
+
+    def test_doctored_rows_raise(self):
+        # an if, not an assert: also under python -O
+        join = next(c for c in star_subdivide(orthant_fan(), (1, 2, 0)).max_cones if E1 in c.rays)
+        rows = join._dual_basis
+        assert sum(map(mul, rows[0], join.rays[0])) == 2
+        bumped = ((rows[0][0] + 1,) + rows[0][1:],) + rows[1:]
+        for bad in (bumped, (rows[1], rows[0], rows[2]), tuple(tuple(-x for x in n) for n in rows),
+                    rows[:2] + (tuple(2 * x for x in rows[2]),)):
+            cone = SimplicialCone._face(join.rays)
+            object.__setattr__(cone, "_dual_basis", bad)
+            with pytest.raises(AssertionFailed):
+                fanmod._cone_solver.__wrapped__(cone)
+
+
 class TestGeometryCaches:
+    def test_build_and_extract_eliminate_only_the_input_cones(self, monkeypatch):
+        # each join is born with its dual basis, so build + extract eliminate
+        # the 8/16/32 ring cones and the 8 octants, and nothing else
+        octa = Fan(3, tuple(_orthant(s) for s in itertools.product((1, -1), repeat=3)))
+        octa_centers = [(1, 1, 0), (0, 1, 1), (1, 0, 1), (-1, -1, 0), (0, -1, -1), (-1, 0, -1)]
+        calls = []
+        monkeypatch.setattr(fanmod, "_scaled_inverse", lambda m: calls.append(m) or _scaled_inverse(m))
+        caches = (fanmod._span_equalities, fanmod._cone_solver, fanmod._facet_normals)
+
+        def eliminations(fan, centers):
+            for cache in caches:
+                cache.cache_clear()
+            calls.clear()
+            extract_factorization(build_cobordism(fan, centers))
+            return len(calls)
+
+        try:
+            assert [eliminations(*ring_chain(n)) for n in (8, 16, 32)] == [8, 16, 32]
+            assert [eliminations(octa, octa_centers[:k]) for k in (2, 4, 6)] == [8, 8, 8]
+        finally:
+            for cache in caches:
+                cache.cache_clear()
+
     def test_build_and_extract_need_no_second_record(self):
         # full-dimensional cones read one record, _cone_solver, on the
         # bench's shapes: no primitive copy and no empty span equalities

@@ -17,7 +17,7 @@ import fancob
 from fancob.cobordism import Circuit, Cobordism
 from fancob.collapse import CollapseGraph, FactorStep, StepKind
 from fancob.demos import DemoReport, ScheduleEntry
-from fancob.fan import Fan, SimplicialCone, ValidationReport
+from fancob.fan import Fan, SimplicialCone, ValidationReport, star_subdivide
 
 CONE = SimplicialCone(((0, 1), (1, 0)))
 FAN = Fan(2, (CONE,))
@@ -71,6 +71,19 @@ def test_value_semantics(cls, args, other_last):
             delattr(value, name)
     with pytest.raises(AttributeError):
         value.unknown = 1
+
+
+def test_handed_over_basis_is_no_part_of_the_value():
+    # a join of star_subdivide carries the dual basis _split_at handed it
+    join = next(c for c in star_subdivide(FAN, (1, 1)).max_cones if (1, 0) in c.rays)
+    plain = SimplicialCone(join.rays)
+    assert join._dual_basis and getattr(plain, "_dual_basis", None) is None
+    assert join == plain and plain == join and hash(join) == hash(plain) == hash((join.rays,))
+    assert repr(join) == repr(plain) == "cone[(1, 0), (1, 1)]"
+    for twin in (copy.copy(join), copy.deepcopy(join), pickle.loads(pickle.dumps(join))):
+        assert twin == join and getattr(twin, "_dual_basis", None) is None
+    with pytest.raises(AttributeError):
+        join._dual_basis = None
 
 
 def test_oracles_are_not_exported():
