@@ -46,7 +46,7 @@ def _load_json(path: str):
     if not p.is_file():
         raise ParseError(f"no such file: {path}")
     try:
-        return json.loads(p.read_text())
+        return json.loads(p.read_text(encoding="utf-8"))
     except OSError as exc:  # an unreadable input is a usage error, like an unwritable output
         raise ParseError(f"cannot read {path}: {exc.strerror}") from exc
     except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, or too deep
@@ -55,7 +55,7 @@ def _load_json(path: str):
 
 def _write(path: str, text: str) -> None:
     try:
-        Path(path).write_text(text)
+        Path(path).write_text(text, encoding="utf-8")
     except OSError as exc:  # an unwritable --out or --dot is a usage error
         raise ParseError(f"cannot write {path}: {exc.strerror}") from exc
 

@@ -57,14 +57,7 @@ class Circuit(Value):
 
     def __init__(self, rays: tuple[Vec, ...], relation: tuple[int, ...],
                  pos: tuple[Vec, ...], neg: tuple[Vec, ...], link: tuple[Vec, ...]):
-        object.__setattr__(self, "rays", rays)
-        object.__setattr__(self, "relation", relation)
-        object.__setattr__(self, "pos", pos)
-        object.__setattr__(self, "neg", neg)
-        object.__setattr__(self, "link", link)
-
-    def _key(self) -> tuple:
-        return self.rays, self.relation, self.pos, self.neg, self.link
+        super().__init__(rays, relation, pos, neg, link)
 
 
 def circuit_of(cone: SimplicialCone) -> Circuit | None:
@@ -228,17 +221,7 @@ class Cobordism(Value):
     def __init__(self, base_dim: int, fan: Fan, lower_faces: tuple[SimplicialCone, ...],
                  upper_faces: tuple[SimplicialCone, ...], bottom: Fan, top: Fan,
                  circuits: tuple[Circuit | None, ...]):
-        object.__setattr__(self, "base_dim", base_dim)
-        object.__setattr__(self, "fan", fan)
-        object.__setattr__(self, "lower_faces", lower_faces)
-        object.__setattr__(self, "upper_faces", upper_faces)
-        object.__setattr__(self, "bottom", bottom)
-        object.__setattr__(self, "top", top)
-        object.__setattr__(self, "circuits", circuits)
-
-    def _key(self) -> tuple:
-        return (self.base_dim, self.fan, self.lower_faces, self.upper_faces,
-                self.bottom, self.top, self.circuits)
+        super().__init__(base_dim, fan, lower_faces, upper_faces, bottom, top, circuits)
 
     @classmethod
     def from_fan(cls, fan: Fan) -> "Cobordism":

@@ -46,15 +46,9 @@ class CollapseGraph(Value):
         for a, b in edges:
             succ.setdefault(a, []).append(b)
             pred.setdefault(b, []).append(a)
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "circuits", circuits)
-        object.__setattr__(self, "cones", cones)
+        super().__init__(nodes, edges, circuits, cones)
         object.__setattr__(self, "_succ", succ)
         object.__setattr__(self, "_pred", pred)
-
-    def _key(self) -> tuple:
-        return self.nodes, self.edges, self.circuits, self.cones
 
     def successors(self, key: CircuitKey) -> list[CircuitKey]:
         return list(self._succ.get(key, ()))
@@ -79,13 +73,7 @@ class FactorStep(Value):
     __slots__ = ("kind", "center", "circuit", "result")
 
     def __init__(self, kind: StepKind, center: Vec | None, circuit: CircuitKey, result: Fan):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "center", center)
-        object.__setattr__(self, "circuit", circuit)
-        object.__setattr__(self, "result", result)
-
-    def _key(self) -> tuple:
-        return self.kind, self.center, self.circuit, self.result
+        super().__init__(kind, center, circuit, result)
 
 
 def circuit_graph(cob: Cobordism) -> CollapseGraph:

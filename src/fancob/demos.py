@@ -48,11 +48,7 @@ class ScheduleEntry(Value):
     __slots__ = ("cone", "center")
 
     def __init__(self, cone: SimplicialCone, center: Vec):
-        object.__setattr__(self, "cone", cone)
-        object.__setattr__(self, "center", center)
-
-    def _key(self) -> tuple:
-        return self.cone, self.center
+        super().__init__(cone, center)
 
 
 def positive_link_centers(cob: Cobordism) -> list[ScheduleEntry]:
@@ -115,20 +111,8 @@ class DemoReport(Value):
                  collapse_order: tuple[CircuitKey, ...], schedule: tuple[ScheduleEntry, ...],
                  three_negative_cone: SimplicialCone, final_fan: Fan, mixed_cone: SimplicialCone,
                  mixed_pos: tuple[Vec, ...], mixed_neg: tuple[Vec, ...]):
-        object.__setattr__(self, "cobordism", cobordism)
-        object.__setattr__(self, "census", census)
-        object.__setattr__(self, "collapse_order", collapse_order)
-        object.__setattr__(self, "schedule", schedule)
-        object.__setattr__(self, "three_negative_cone", three_negative_cone)
-        object.__setattr__(self, "final_fan", final_fan)
-        object.__setattr__(self, "mixed_cone", mixed_cone)
-        object.__setattr__(self, "mixed_pos", mixed_pos)
-        object.__setattr__(self, "mixed_neg", mixed_neg)
-
-    def _key(self) -> tuple:
-        return (self.cobordism, self.census, self.collapse_order, self.schedule,
-                self.three_negative_cone, self.final_fan, self.mixed_cone, self.mixed_pos,
-                self.mixed_neg)
+        super().__init__(cobordism, census, collapse_order, schedule, three_negative_cone,
+                         final_fan, mixed_cone, mixed_pos, mixed_neg)
 
     def summary(self) -> dict:
         return {

@@ -104,7 +104,7 @@ class SimplicialCone(Value):
 
     def __init__(self, rays):
         rays = tuple(sorted(tuple(operator.index(x) for x in r) for r in rays))
-        object.__setattr__(self, "rays", rays)
+        super().__init__(rays)
         object.__setattr__(self, "_hash", hash((rays,)))
         if not rays:
             raise ValueError("a cone needs at least one ray")
@@ -130,7 +130,7 @@ class SimplicialCone(Value):
             raise ValueError("a cone needs at least one ray")
         rays = tuple(sorted(rays))
         cone = object.__new__(cls)
-        object.__setattr__(cone, "rays", rays)
+        Value.__init__(cone, rays)
         object.__setattr__(cone, "_hash", hash((rays,)))
         return cone
 
@@ -144,9 +144,6 @@ class SimplicialCone(Value):
 
     def has_face(self, other: "SimplicialCone") -> bool:
         return set(other.rays) <= set(self.rays)
-
-    def _key(self) -> tuple:
-        return (self.rays,)
 
     def __eq__(self, other):
         # Value.__eq__ inlined: cones are compared on cache and front-set lookups
@@ -175,16 +172,12 @@ class Fan(Value):
         if ambient_dim < 1:
             raise ValueError("ambient dimension must be positive")
         cones = tuple(sorted(set(max_cones), key=_RAYS))
-        object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "max_cones", cones)
+        super().__init__(ambient_dim, cones)
         for c in cones:
             if c.ambient_dim != ambient_dim:
                 raise DimensionMismatch(
                     f"cone {c} lives in dim {c.ambient_dim}, fan in {ambient_dim}"
                 )
-
-    def _key(self) -> tuple:
-        return self.ambient_dim, self.max_cones
 
     @classmethod
     def _sorted(cls, ambient_dim: int, cones) -> "Fan":
@@ -193,8 +186,7 @@ class Fan(Value):
         says why), such as the ordered list of an _IndexedCones.  Nothing is
         checked or sorted; the value is that of Fan(ambient_dim, cones)."""
         fan = object.__new__(cls)
-        object.__setattr__(fan, "ambient_dim", ambient_dim)
-        object.__setattr__(fan, "max_cones", tuple(cones))
+        Value.__init__(fan, ambient_dim, tuple(cones))
         return fan
 
     @property
@@ -211,10 +203,7 @@ class ValidationReport(Value):
     __slots__ = ("problems",)
 
     def __init__(self, problems: tuple[str, ...] = ()):
-        object.__setattr__(self, "problems", problems)
-
-    def _key(self) -> tuple:
-        return (self.problems,)
+        super().__init__(problems)
 
     @property
     def ok(self) -> bool:

@@ -1,9 +1,13 @@
 """The immutable base of fancob's value classes.
 
-A subclass lists its attributes in __slots__, sets them in __init__ through
-object.__setattr__, and returns from _key the compared ones, which are its
-constructor's arguments in order, so copy and pickle rebuild a value through
-the constructor.
+A subclass names its fields once, in __slots__, in the order of its
+constructor's parameters.  Value reads them into _fields when the class is
+made (a subclass's fields are its parent's followed by its own); its
+__init__ sets them and its _key returns them, so equality, hashing, repr,
+copy and pickle follow from that one declaration.  A slot whose name starts
+with an underscore (a cached hash, adjacency lists, __dict__) is no part of
+the value.  A subclass keeps its typed __init__, which passes the fields on
+to Value.__init__.
 
 Plain classes instead of dataclasses keep `import fancob` off the
 dataclasses module and its per-class code generation.
@@ -18,6 +22,18 @@ class Value:
     AttributeError)."""
 
     __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        own = cls.__dict__.get("__slots__", ())
+        cls._fields += tuple(name for name in own if not name.startswith("_"))
+
+    def __init__(self, *values):
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

@@ -326,6 +326,19 @@ class TestUnreadableAndUnwritable:
             assert (code, out) == (2, "")
             assert err.startswith(f"error: {path}: ") and err.count("\n") == 1, err
 
+    def test_documents_are_utf8_under_an_ascii_locale(self, tmp_path):
+        # the C locale without coercion or UTF-8 mode reads files as ASCII by default
+        doc = json.loads((FIXTURES / "cone3.fan").read_text())
+        good, bad = tmp_path / "named.fan", tmp_path / "bad.fan"
+        good.write_text(json.dumps({**doc, "name": "σ-cone"}, ensure_ascii=False), encoding="utf-8")
+        bad.write_bytes(b'{"name": "\xcf"}')
+        env = {**os.environ, "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0",
+               "PYTHONPATH": str(Path(fancob.__file__).parents[1])}
+        for path, code in ((good, 0), (bad, 2)):
+            proc = subprocess.run([sys.executable, "-m", "fancob", "validate", str(path)],
+                                  capture_output=True, timeout=60, env=env)
+            assert proc.returncode == code, proc.stderr
+
     @pytest.mark.parametrize("argv", [
         ["validate", str(FIXTURES / "p2.fan")],
         ["collapse", str(FIXTURES / "karu.cob")],

@@ -18,6 +18,7 @@ from fancob.cobordism import Circuit, Cobordism
 from fancob.collapse import CollapseGraph, FactorStep, StepKind
 from fancob.demos import DemoReport, ScheduleEntry
 from fancob.fan import Fan, SimplicialCone, ValidationReport, star_subdivide
+from fancob.value import Value
 
 CONE = SimplicialCone(((0, 1), (1, 0)))
 FAN = Fan(2, (CONE,))
@@ -50,9 +51,13 @@ def _hashable(args) -> bool:
 @pytest.mark.parametrize("cls, args, other_last", CASES, ids=[c[0].__name__ for c in CASES])
 def test_value_semantics(cls, args, other_last):
     names = list(inspect.signature(cls).parameters)
+    # the fields are the constructor's parameters, in order
+    assert cls._fields == tuple(names)
     value = cls(*args)
     assert cls(**dict(zip(names, args))) == value
     assert tuple(getattr(value, n) for n in names) == args
+    if cls.__repr__ is Value.__repr__:
+        assert repr(value) == f"{cls.__name__}{args!r}"
     assert cls(*args[:-1], other_last) != value
     # only instances of the one class compare equal, also a subclass's
     sub = type("Sub", (cls,), {"__slots__": ()})
