@@ -180,27 +180,31 @@ def _boundaries(fan: Fan, circuits: list[Circuit | None]) -> tuple[tuple[Simplic
         for r in cone.rays:
             holders.setdefault(r, set()).add(i)
     lower, upper = [], []
-    for i, (cone, circ) in enumerate(zip(fan.max_cones, circuits)):
+    for cone, circ in zip(fan.max_cones, circuits):
         if circ is None:
             lower.append(cone.rays)
             upper.append(cone.rays)
             continue
         for side, rays in ((lower, circ.pos), (upper, circ.neg)):
             for v in rays:
-                face = tuple(r for r in cone.rays if r != v)
-                if set.intersection(*(holders[r] for r in face)) == {i}:
+                face = tuple([r for r in cone.rays if r != v])
+                # the cone itself holds the face, so one holder means no other
+                if len(set.intersection(*[holders[r] for r in face])) == 1:
                     side.append(face)
     # each face is a subset of its cone's rays
     return tuple(tuple(SimplicialCone._face(f) for f in sorted(faces)) for faces in (lower, upper))
 
 
+def _projections(faces) -> dict[Vec, Vec]:
+    """Each distinct ray of the faces -> its primitive projection."""
+    return {r: primitive(base_part(r)) for r in {r for f in faces for r in f.rays}}
+
+
 def _projected_fan(faces, base_dim: int) -> Fan:
     # a boundary face misses a circuit ray or has none, so its projected
     # rays are independent (and nonzero, as from_fan refuses vertical rays)
-    cones = tuple(
-        SimplicialCone._face(tuple(primitive(base_part(r)) for r in f.rays)) for f in faces
-    )
-    return Fan(base_dim, cones)
+    down = _projections(faces)
+    return Fan(base_dim, [SimplicialCone._face(tuple([down[r] for r in f.rays])) for f in faces])
 
 
 class Cobordism(Value):
@@ -268,8 +272,9 @@ def _cone_problems(cob: Cobordism) -> list[str]:
             problems.append(f"degenerate circuit in maximal cone {cone}")
     for side, faces in (("lower", cob.lower_faces), ("upper", cob.upper_faces)):
         seen: dict[tuple[Vec, ...], SimplicialCone] = {}
+        down = _projections(faces)
         for f in faces:
-            proj = tuple(sorted(primitive(base_part(r)) for r in f.rays))
+            proj = tuple(sorted([down[r] for r in f.rays]))
             if proj in seen:
                 problems.append(
                     f"{side} faces {seen[proj]} and {f} project to the same cone"
@@ -423,14 +428,14 @@ def build_cobordism(delta: Fan, centers, heights=None) -> Cobordism:
     report = fanmod.validate_fan(delta)
     if not report.ok:
         raise InvalidFan(f"input fan is invalid:\n{report}")
-    height_of: dict[Vec, int] = {r: 0 for r in delta.rays}
+    lift: dict[Vec, Vec] = {r: r + (0,) for r in delta.rays}  # each ray at its height
     running = fanmod._IndexedCones(delta.max_cones)  # the running fan's cones
     start = None  # where the next point location walks from
     lifted: dict[SimplicialCone, Circuit | None] = {}  # each lifted cone's circuit
     h = 0
     for t, center in enumerate(centers):
-        # height_of holds exactly the running fan's rays
-        if center in height_of:
+        # lift holds exactly the running fan's rays
+        if center in lift:
             raise CenterAlreadyRay(f"center {center} is already a ray")
         try:
             tau, found, coords = fanmod._locate(running, center, start)
@@ -439,7 +444,7 @@ def build_cobordism(delta: Fan, centers, heights=None) -> Cobordism:
         # the lifted center must clear the running graph sheet, or the new
         # cones dip into the ones already recorded
         d = sum(map(mul, fanmod._cone_solver(found)[0], found.rays[0]))
-        sheet = sum(s * height_of[r] for s, r in zip(coords, found.rays))
+        sheet = sum([s * lift[r][-1] for s, r in zip(coords, found.rays)])
         # by default the least height above the last one that clears the sheet
         h = max(h + 1, sheet // d + 1) if heights is None else heights[t]
         if h * d <= sheet:
@@ -453,13 +458,13 @@ def build_cobordism(delta: Fan, centers, heights=None) -> Cobordism:
         apex = center + (h,)
         # the circuit relation d * apex - sum <n_r, c> lift(r) over tau's
         # rays, the positive coordinates
-        support = [(apex, d)] + [(r + (height_of[r],), -s) for r, s in zip(found.rays, coords) if s]
-        relation = dict(zip((v for v, _ in support), primitive([x for _, x in support])))
+        support = [(apex, d)] + [(lift[r], -s) for r, s in zip(found.rays, coords) if s]
+        relation = dict(zip([v for v, _ in support], primitive([x for _, x in support])))
         for sigma in fanmod._split_at(running, center, tau):
             # h > graph height puts the lifted center off span lift(sigma)
-            cone = SimplicialCone._face(tuple(r + (height_of[r],) for r in sigma.rays) + (apex,))
-            lifted[cone] = _checked_circuit(cone, tuple(relation.get(v, 0) for v in cone.rays))
-        height_of[center] = h
+            cone = SimplicialCone._face(tuple([lift[r] for r in sigma.rays]) + (apex,))
+            lifted[cone] = _checked_circuit(cone, tuple([relation.get(v, 0) for v in cone.rays]))
+        lift[center] = apex
         start = next(iter(running.holders[center]))
     # distinct cones of delta's dim in fan order: its own and the joins of
     # _split_at
@@ -468,7 +473,7 @@ def build_cobordism(delta: Fan, centers, heights=None) -> Cobordism:
     for c in current.max_cones:
         if c in original:
             # lifts independent rays, and its span misses e
-            lifted[SimplicialCone._face(tuple(r + (0,) for r in c.rays))] = None
+            lifted[SimplicialCone._face(tuple([lift[r] for r in c.rays]))] = None
 
     # lifted rays have nonzero base parts, the rays of delta and the centers
     lifted_fan = Fan(delta.ambient_dim + 1, tuple(lifted))

@@ -275,7 +275,10 @@ def extract_factorization(cob: Cobordism, elide_identity: bool = False) -> list[
 
     The front is one set of cones kept in fan order with its ray -> cones
     index (fan._IndexedCones), kept across crossings: the lower cones leave,
-    the upper ones enter, and the index names the cones holding pi(n).
+    the upper ones enter, and the index names the cones holding pi(n).  A
+    lower cone is looked up by its sorted projected rays, one bisection of
+    the ordered list, so no cone is built to compare and remove; only the
+    upper cones are built.
     The checked pairs (a, b) are sorted by (a.rays, b.rays), which is
     combinations order over the front in fan order, so a BrokenFan report
     lists its problems in validate_fan's order.  Each FactorStep.result is
@@ -293,35 +296,38 @@ def extract_factorization(cob: Cobordism, elide_identity: bool = False) -> list[
         raise BrokenFan(f"bottom fan is invalid:\n{report}")
     down = {r: primitive(base_part(r)) for r in cob.fan.rays}
 
-    def projected_face(cone: SimplicialCone, dropped: Vec) -> SimplicialCone:
-        # dropping a circuit ray leaves rays with independent projections
-        return SimplicialCone._face(tuple(down[r] for r in cone.rays if r != dropped))
+    def projected_rays(cone: SimplicialCone, dropped: Vec) -> tuple[Vec, ...]:
+        return tuple(sorted([down[r] for r in cone.rays if r != dropped]))
 
     front = fanmod._IndexedCones(cob.bottom.max_cones)
     steps: list[FactorStep] = []
     for key in witness:
         circ = graph.circuits[key]
         star = graph.cones[key]
-        lower = {projected_face(cone, p) for cone in star for p in circ.pos}
+        lower = {projected_rays(cone, p) for cone in star for p in circ.pos}
         # each upper cone pi(sigma - n) with its dropped rays pi(n) and the
-        # star cones sigma it comes from
+        # star cones sigma it comes from; dropping a circuit ray leaves rays
+        # with independent projections
         upper: dict[SimplicialCone, tuple[set[Vec], set[int]]] = {}
         for i, cone in enumerate(star):
             for n in circ.neg:
-                dropped, sources = upper.setdefault(projected_face(cone, n), (set(), set()))
+                face = SimplicialCone._face(projected_rays(cone, n))
+                dropped, sources = upper.setdefault(face, (set(), set()))
                 dropped.add(down[n])
                 sources.add(i)
-        missing = lower - front.cones
+        # the lower cones pi(sigma - p), looked up in the front by their rays
+        found = [front.find(rays) for rays in lower]
+        missing = sorted([rays for rays, c in zip(lower, found) if c is None])
         if missing:
             raise FrontMismatch(
-                f"circuit {list(key)} expects front cones {sorted(c.rays for c in missing)}; "
+                f"circuit {list(key)} expects front cones {missing}; "
                 "the cobordism is not sequential"
             )
         kind = _STEP_KIND.get(circuit_class(circ))
         if kind is None:
             raise InvalidFan(f"circuit {list(key)} is degenerate: its relation has one sign")
         fresh = {u: made for u, made in upper.items() if u not in front.cones}
-        for c in lower:
+        for c in found:
             front.remove(c)
         for u in upper:
             front.add(u)

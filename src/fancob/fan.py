@@ -125,13 +125,18 @@ class SimplicialCone(Value):
         distinct and linearly independent (each call site says why), such
         as a face of a known cone.  Only emptiness is checked and the rays
         are sorted; the value, hash and repr are those of
-        SimplicialCone(rays)."""
+        SimplicialCone(rays).  The hot constructor of build and extract: it
+        writes the one field and the hash through their slot descriptors,
+        two writes in place of Value.__init__'s loop.  Build and extract hand
+        it rays lifted or projected once each, through a table per ray, and
+        extract looks its lower cones up in the front instead of building
+        them."""
         if not rays:
             raise ValueError("a cone needs at least one ray")
         rays = tuple(sorted(rays))
         cone = object.__new__(cls)
-        Value.__init__(cone, rays)
-        object.__setattr__(cone, "_hash", hash((rays,)))
+        _set_rays(cone, rays)
+        _set_hash(cone, hash((rays,)))
         return cone
 
     @property
@@ -158,6 +163,11 @@ class SimplicialCone(Value):
         return "cone" + str(list(self.rays))
 
 
+# the slot writers of _face (and of Fan._sorted, below); tests/test_values.py
+# pins the fields they cover, so a new field fails there, not goes unset
+_set_rays, _set_hash = SimplicialCone.rays.__set__, SimplicialCone._hash.__set__
+
+
 class Fan(Value):
     """A simplicial fan: ambient dimension plus its maximal cones.
 
@@ -174,7 +184,7 @@ class Fan(Value):
         cones = tuple(sorted(set(max_cones), key=_RAYS))
         super().__init__(ambient_dim, cones)
         for c in cones:
-            if c.ambient_dim != ambient_dim:
+            if len(c.rays[0]) != ambient_dim:
                 raise DimensionMismatch(
                     f"cone {c} lives in dim {c.ambient_dim}, fan in {ambient_dim}"
                 )
@@ -184,9 +194,12 @@ class Fan(Value):
         """The fan on distinct cones of ambient dimension ambient_dim >= 1,
         already in fan order, which its caller has proved (each call site
         says why), such as the ordered list of an _IndexedCones.  Nothing is
-        checked or sorted; the value is that of Fan(ambient_dim, cones)."""
+        checked or sorted; the value is that of Fan(ambient_dim, cones).
+        Like SimplicialCone._face, it writes its two fields through their
+        slot descriptors."""
         fan = object.__new__(cls)
-        Value.__init__(fan, ambient_dim, tuple(cones))
+        _set_fan_dim(fan, ambient_dim)
+        _set_fan_cones(fan, tuple(cones))
         return fan
 
     @property
@@ -195,6 +208,9 @@ class Fan(Value):
 
     def __repr__(self) -> str:
         return f"Fan(dim={self.ambient_dim}, {len(self.max_cones)} max cones)"
+
+
+_set_fan_dim, _set_fan_cones = Fan.ambient_dim.__set__, Fan.max_cones.__set__
 
 
 class ValidationReport(Value):
@@ -345,11 +361,11 @@ def _coordinates(cone: SimplicialCone, p) -> tuple | None:
     its coordinates on the cone's rays, or None when the point lies off
     span(cone).  Only signs of integer (or, for Fraction points, rational)
     dot products decide membership from them."""
-    if len(p) != cone.ambient_dim:
+    if len(p) != len(cone.rays[0]):
         raise DimensionMismatch(f"point dim {len(p)} != cone ambient dim {cone.ambient_dim}")
-    if cone.dim < cone.ambient_dim and any(sum(map(mul, y, p)) for y in _span_equalities(cone)):
+    if len(cone.rays) < len(p) and any(sum(map(mul, y, p)) for y in _span_equalities(cone)):
         return None
-    return tuple(sum(map(mul, n, p)) for n in _cone_solver(cone))
+    return tuple([sum(map(mul, n, p)) for n in _cone_solver(cone)])
 
 
 def _positive_rays(cone: SimplicialCone, p) -> tuple[Vec, ...] | None:
@@ -500,9 +516,16 @@ class _IndexedCones:
         for r in cone.rays:
             self.holders[r].discard(cone)
 
+    def find(self, rays: tuple[Vec, ...]) -> SimplicialCone | None:
+        """The cone on exactly these rays, given sorted, or None."""
+        i = bisect.bisect_left(self.ordered, rays, key=_RAYS)
+        if i < len(self.ordered) and self.ordered[i].rays == rays:
+            return self.ordered[i]
+        return None
+
     def holding(self, rays) -> set[SimplicialCone]:
         """The cones holding every one of the (one or more) rays."""
-        first, *rest = (self.holders[r] for r in rays)
+        first, *rest = [self.holders[r] for r in rays]
         return first.intersection(*rest)
 
 
@@ -534,7 +557,7 @@ def _locate(cones: _IndexedCones, point, start: SimplicialCone | None = None):
         else:
             raise NotInSupport(f"{point} is outside the fan's support")
     # a subset of sigma's rays
-    tau = SimplicialCone._face(tuple(r for r, s in zip(sigma.rays, coords) if s > 0))
+    tau = SimplicialCone._face(tuple([r for r, s in zip(sigma.rays, coords) if s > 0]))
     return tau, sigma, coords
 
 
@@ -550,7 +573,7 @@ def _walk(cones: _IndexedCones, point, sigma: SimplicialCone):
     a visibility walk need not end on every triangulation.
     """
     for _ in range(len(cones.cones)):
-        if sigma.dim < max(sigma.ambient_dim, 2):
+        if len(sigma.rays) < max(len(sigma.rays[0]), 2):
             break  # no facet to cross (the facet of a ray is {0})
         coords = _coordinates(sigma, point)
         i = next((i for i, s in enumerate(coords) if s < 0), None)
@@ -607,23 +630,26 @@ def _split_at(cones: _IndexedCones, center: Vec, tau: SimplicialCone) -> list[Si
     star = sorted(cones.holding(tau.rays), key=_RAYS)
     for sigma in star:
         cones.remove(sigma)
-        exchange = sigma.dim == sigma.ambient_dim
+        v = sigma.rays
+        exchange = len(v) == len(v[0])
         if exchange:
             rows = _cone_solver(sigma)
-            d = sum(map(mul, rows[0], sigma.rays[0]))
+            d = sum(map(mul, rows[0], v[0]))
             lam = [sum(map(mul, n, center)) for n in rows]
         # the center has a positive coefficient on w, so it lies off
         # span(sigma - w): each join is primitive, distinct and independent
         for w in tau.rays:
-            join = SimplicialCone._face((center,) + tuple(r for r in sigma.rays if r != w))
+            k = v.index(w)
+            join = SimplicialCone._face(v[:k] + (center,) + v[k + 1:])
             if exchange:
-                k = sigma.rays.index(w)
                 nw, lw = rows[k], lam[k]
-                dual = {center: nw}
-                for v, n, lv in zip(sigma.rays, rows, lam):
-                    if v != w:
-                        dual[v] = tuple((lw * x - lv * y) // d for x, y in zip(n, nw))
-                object.__setattr__(join, "_dual_basis", tuple(dual[r] for r in join.rays))
+                dual = [tuple([(lw * x - lv * y) // d for x, y in zip(n, nw)])
+                        for n, lv in zip(rows, lam)]
+                # the rows of sigma's other rays keep their order; n_w, the
+                # row of c, moves to c's place in the join
+                del dual[k]
+                dual.insert(join.rays.index(center), nw)
+                object.__setattr__(join, "_dual_basis", tuple(dual))
                 _cone_solver(join)
             cones.add(join)
     return star

@@ -10,6 +10,8 @@ import random
 from math import comb
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fancob import fan as fanmod
 from fancob.cobordism import (
@@ -32,11 +34,12 @@ from fancob.collapse import (
     to_dot,
     transcript,
 )
-from fancob.demos import karu_counterexample, run_schedule
+from fancob.demos import karu_counterexample, projective_plane_fan, run_schedule
 from fancob.errors import BrokenFan, FrontMismatch, InvalidFan, NotCollapsible
 from fancob.exact import primitive
 from fancob.fan import Fan, SimplicialCone, is_smooth, star_subdivide, validate_fan
 from conftest import FIXTURES, INVALID_BOTTOM_DOCS, orthant_fan, random_center_sequence, random_smooth_fan, ring_chain
+from test_complete_fans import SETTINGS, cross_polytope_fan
 from test_facet_boundary import _orthant, fixture_cobordisms, random_build
 
 D1 = tuple(sorted([(1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 1)]))
@@ -638,7 +641,50 @@ class TestCertifiedInputs:
             assert pair_checks(cob, monkeypatch) == comb(len(fan.max_cones), 2) + sum(per_crossing) == total
 
 
+@st.composite
+def smooth_builds(draw) -> tuple[Fan, list, Fan]:
+    """A smooth fan in base dim 2-4, up to four centers at face sums of the
+    running fan, and the directly subdivided final fan.  The starts are the
+    complete fans of test_complete_fans, one orthant, and a cone of dim
+    d - 1 next to a ray, whose star cones are lower-dimensional parents."""
+    start = draw(st.sampled_from(("p2", "ring", "cross3", "cross4", "orthant", "lower")))
+    if start == "p2":
+        fan = projective_plane_fan()
+    elif start == "ring":
+        fan = ring_chain(draw(st.integers(3, 12)))[0]
+    elif start.startswith("cross"):
+        fan = cross_polytope_fan(int(start[-1]))
+    elif start == "orthant":
+        d = draw(st.integers(2, 4))
+        fan = Fan(d, (_orthant((1,) * d),))
+    else:
+        d = draw(st.integers(3, 4))
+        units = [tuple(int(i == j) for j in range(d)) for i in range(d)]
+        fan = Fan(d, (SimplicialCone(units[:-1]), SimplicialCone((tuple(-x for x in units[-1]),))))
+    centers, current = [], fan
+    for _ in range(draw(st.integers(0, 4))):
+        # on a smooth fan a face sum is primitive, and no ray of the fan
+        cone = draw(st.sampled_from([c for c in current.max_cones if c.dim >= 2]))
+        face = draw(st.lists(st.sampled_from(cone.rays), min_size=2, max_size=cone.dim, unique=True))
+        centers.append(tuple(map(sum, zip(*face))))
+        current = star_subdivide(current, centers[-1])
+    return fan, centers, current
+
+
 class TestRandomCorpusProperties:
+    @SETTINGS
+    @given(smooth_builds())
+    def test_build_then_extract_returns_the_centers(self, build):
+        fan, centers, final = build
+        steps = extract_factorization(build_cobordism(fan, centers))
+        assert [s.center for s in steps] == centers
+        assert all(s.kind is StepKind.BLOWUP for s in steps)
+        assert (steps[-1].result if steps else fan) == final
+        for cache in (fanmod._span_equalities, fanmod._cone_solver, fanmod._facet_normals):
+            cache.cache_clear()
+        again = extract_factorization(build_cobordism(fan, centers))
+        assert json.dumps(transcript(again)) == json.dumps(transcript(steps))
+
     def test_builds_are_collapsible_with_valid_fronts(self):
         from fancob.fan import supports_equal
 

@@ -979,23 +979,29 @@ class TestDualBasisHandOver:
 class TestGeometryCaches:
     def test_build_and_extract_eliminate_only_the_input_cones(self, monkeypatch):
         # each join is born with its dual basis, so build + extract eliminate
-        # the 8/16/32 ring cones and the 8 octants, and nothing else
+        # the 8/16/32 ring cones and the 8 octants, and nothing else; and
+        # extract looks its lower cones up, so it builds no cone to compare
         octa = Fan(3, tuple(_orthant(s) for s in itertools.product((1, -1), repeat=3)))
         octa_centers = [(1, 1, 0), (0, 1, 1), (1, 0, 1), (-1, -1, 0), (0, -1, -1), (-1, 0, -1)]
-        calls = []
+        calls, faces = [], []
         monkeypatch.setattr(fanmod, "_scaled_inverse", lambda m: calls.append(m) or _scaled_inverse(m))
+        face = SimplicialCone._face
+        monkeypatch.setattr(SimplicialCone, "_face", lambda rays: faces.append(rays) or face(rays))
         caches = (fanmod._span_equalities, fanmod._cone_solver, fanmod._facet_normals)
 
-        def eliminations(fan, centers):
+        def eliminations_and_cones(fan, centers):
             for cache in caches:
                 cache.cache_clear()
             calls.clear()
+            faces.clear()
             extract_factorization(build_cobordism(fan, centers))
-            return len(calls)
+            return len(calls), len(faces)
 
         try:
-            assert [eliminations(*ring_chain(n)) for n in (8, 16, 32)] == [8, 16, 32]
-            assert [eliminations(octa, octa_centers[:k]) for k in (2, 4, 6)] == [8, 8, 8]
+            ring = [eliminations_and_cones(*ring_chain(n)) for n in (8, 16, 32)]
+            assert ring == [(8, 160), (16, 320), (32, 640)]
+            octahedral = [eliminations_and_cones(octa, octa_centers[:k]) for k in (2, 4, 6)]
+            assert octahedral == [(8, 67), (8, 94), (8, 122)]
         finally:
             for cache in caches:
                 cache.cache_clear()

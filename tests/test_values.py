@@ -91,6 +91,22 @@ def test_handed_over_basis_is_no_part_of_the_value():
         join._dual_basis = None
 
 
+def test_direct_slot_writers_build_the_constructors_values():
+    # SimplicialCone._face and Fan._sorted write their slots directly, so
+    # they cover exactly these fields: a new one must be written there too
+    assert SimplicialCone._fields == ("rays",)
+    assert Fan._fields == ("ambient_dim", "max_cones")
+    face = SimplicialCone._face(((1, 0), (0, 1)))
+    fan = Fan._sorted(2, [CONE])
+    for direct, built in ((face, CONE), (fan, FAN)):
+        assert direct == built and built == direct and not direct != built
+        assert hash(direct) == hash(built) and repr(direct) == repr(built)
+        for twin in (copy.copy(direct), copy.deepcopy(direct), pickle.loads(pickle.dumps(direct))):
+            assert twin == direct == built and hash(twin) == hash(built)
+    assert hash(face) == hash((CONE.rays,))
+    assert getattr(face, "_dual_basis", None) is None
+
+
 def test_oracles_are_not_exported():
     # test oracles and their error stay in their modules, off the package API
     for name in ("supports_equal", "minimal_containing_cone", "nonneg_combination",
