@@ -60,6 +60,12 @@ class Circuit(Value):
         super().__init__(rays, relation, pos, neg, link)
 
 
+# the slot writers of _checked_circuit, in field order; tests/test_values.py
+# pins Circuit._fields, so a new field fails there, not goes unset
+_set_circuit_rays, _set_relation, _set_pos, _set_neg, _set_link = (
+    getattr(Circuit, name).__set__ for name in Circuit._fields)
+
+
 def circuit_of(cone: SimplicialCone) -> Circuit | None:
     """The circuit of a lifted cone, or None when it is projection-independent.
 
@@ -79,18 +85,28 @@ def _checked_circuit(cone: SimplicialCone, rel: tuple[int, ...]) -> Circuit:
     """The circuit of a lifted cone from a primitive relation aligned with
     its rays, checked exactly: the relation must map the rays to a positive
     multiple of e = e_{d+1}, else AssertionFailed.  On independent rays that
-    relation is unique, so every correct one gives circuit_of's circuit."""
+    relation is unique, so every correct one gives circuit_of's circuit.
+    One pass splits the rays by sign, and the circuit is written through its
+    slot descriptors, as SimplicialCone._face writes a cone; its value, hash
+    and repr are those of the Circuit constructor's."""
     image = [sum(map(mul, rel, column)) for column in zip(*cone.rays)]
     if any(image[:-1]) or image[-1] <= 0:
         raise AssertionFailed(f"relation {rel} maps the rays of {cone} to {image}, not to e")
-    rays, relation = zip(*((r, c) for r, c in zip(cone.rays, rel) if c))
-    return Circuit(
-        rays=rays,
-        relation=relation,
-        pos=tuple(r for r, c in zip(rays, relation) if c > 0),
-        neg=tuple(r for r, c in zip(rays, relation) if c < 0),
-        link=tuple(r for r, c in zip(cone.rays, rel) if not c),
-    )
+    rays, relation, pos, neg, link = [], [], [], [], []
+    for r, c in zip(cone.rays, rel):
+        if c:
+            rays.append(r)
+            relation.append(c)
+            (pos if c > 0 else neg).append(r)
+        else:
+            link.append(r)
+    circ = object.__new__(Circuit)
+    _set_circuit_rays(circ, tuple(rays))
+    _set_relation(circ, tuple(relation))
+    _set_pos(circ, tuple(pos))
+    _set_neg(circ, tuple(neg))
+    _set_link(circ, tuple(link))
+    return circ
 
 
 def circuit_class(c: Circuit | None) -> ConeClass:
@@ -174,22 +190,32 @@ def boundary(fan: Fan) -> tuple[tuple[SimplicialCone, ...], tuple[SimplicialCone
 def _boundaries(fan: Fan, circuits: list[Circuit | None]) -> tuple[tuple[SimplicialCone, ...], ...]:
     """(lower, upper) boundary, given circuit_of of each maximal cone in fan
     order: one ray -> cone-index map and one pass over the cones give both
-    sides."""
+    sides.
+
+    No side holds a face twice.  A face sigma minus v is kept only when
+    sigma alone holds its rays, so no second maximal cone gives it, and one
+    cone gives distinct faces for distinct v; a projection-independent
+    maximal cone equal to another cone's face sigma minus v holds that
+    face's rays, so the face is dropped and only the maximal cone is kept
+    (fans hold distinct maximal cones).  _cone_problems reads duplicate
+    projections off this."""
     holders: dict[Vec, set[int]] = {}
     for i, cone in enumerate(fan.max_cones):
         for r in cone.rays:
             holders.setdefault(r, set()).add(i)
     lower, upper = [], []
     for cone, circ in zip(fan.max_cones, circuits):
+        rays = cone.rays
         if circ is None:
-            lower.append(cone.rays)
-            upper.append(cone.rays)
+            lower.append(rays)
+            upper.append(rays)
             continue
-        for side, rays in ((lower, circ.pos), (upper, circ.neg)):
-            for v in rays:
-                face = tuple([r for r in cone.rays if r != v])
+        for side, dropped in ((lower, circ.pos), (upper, circ.neg)):
+            for v in dropped:
+                k = rays.index(v)
+                face = rays[:k] + rays[k + 1:]
                 # the cone itself holds the face, so one holder means no other
-                if len(set.intersection(*[holders[r] for r in face])) == 1:
+                if len(set.intersection(*map(holders.__getitem__, face))) == 1:
                     side.append(face)
     # each face is a subset of its cone's rays
     return tuple(tuple(SimplicialCone._face(f) for f in sorted(faces)) for faces in (lower, upper))
@@ -200,11 +226,16 @@ def _projections(faces) -> dict[Vec, Vec]:
     return {r: primitive(base_part(r)) for r in {r for f in faces for r in f.rays}}
 
 
-def _projected_fan(faces, base_dim: int) -> Fan:
+def _projected_fan(faces, down: dict[Vec, Vec], base_dim: int) -> Fan:
+    """The fan of the faces' projections, each ray projected by the table
+    down (_projections).  The sorted ray tuples of the distinct projected
+    cones are their fan order, so each is built once and Fan._sorted takes
+    them as they are; a face that projects onto another's cone adds none,
+    the count _cone_problems reads."""
     # a boundary face misses a circuit ray or has none, so its projected
     # rays are independent (and nonzero, as from_fan refuses vertical rays)
-    down = _projections(faces)
-    return Fan(base_dim, [SimplicialCone._face(tuple([down[r] for r in f.rays])) for f in faces])
+    cones = sorted({tuple(sorted([down[r] for r in f.rays])) for f in faces})
+    return Fan._sorted(base_dim, [SimplicialCone._face(rays) for rays in cones])
 
 
 class Cobordism(Value):
@@ -249,28 +280,43 @@ class Cobordism(Value):
     def _with_circuits(cls, fan: Fan, circuits) -> "Cobordism":
         """The cobordism of a lifted fan of dim >= 2 without vertical rays,
         given the circuit of each maximal cone in fan order (each caller
-        says why they are those of circuit_of)."""
+        says why they are those of circuit_of).
+
+        One ray -> projection table, over the rays of the boundary faces,
+        serves both sides, so each lifted ray is projected once.  bottom
+        and top are the projections of the lower and upper faces, as the
+        class docstring requires, each projected cone built once."""
         base_dim = fan.ambient_dim - 1
         lower, upper = _boundaries(fan, circuits)
+        down = _projections(lower + upper)
         return cls(
             base_dim=base_dim,
             fan=fan,
             lower_faces=lower,
             upper_faces=upper,
-            bottom=_projected_fan(lower, base_dim),
-            top=_projected_fan(upper, base_dim),
+            bottom=_projected_fan(lower, down, base_dim),
+            top=_projected_fan(upper, down, base_dim),
             circuits=circuits,
         )
 
 
 def _cone_problems(cob: Cobordism) -> list[str]:
     """The checks read off single cones: degenerate circuits, and boundary
-    faces projecting to the same cone (each projects injectively)."""
+    faces projecting to the same cone (each projects injectively).
+
+    Two faces of a side project to the same cone exactly when the side's
+    projected fan has fewer cones than the side has faces: bottom and top
+    are the deduplicated projections of the faces (the Cobordism
+    docstring), and _boundaries never emits a face twice.  Only then are
+    the faces projected again to name the pairs."""
     problems = []
     for cone, circ in zip(cob.fan.max_cones, cob.circuits):
         if circuit_class(circ) is ConeClass.DEGENERATE:
             problems.append(f"degenerate circuit in maximal cone {cone}")
-    for side, faces in (("lower", cob.lower_faces), ("upper", cob.upper_faces)):
+    for side, faces, projected in (("lower", cob.lower_faces, cob.bottom),
+                                   ("upper", cob.upper_faces, cob.top)):
+        if len(projected.max_cones) == len(faces):
+            continue
         seen: dict[tuple[Vec, ...], SimplicialCone] = {}
         down = _projections(faces)
         for f in faces:

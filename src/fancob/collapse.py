@@ -81,6 +81,7 @@ def circuit_graph(cob: Cobordism) -> CollapseGraph:
     its stored circuits."""
     circuits: dict[CircuitKey, Circuit] = {}
     cones: dict[CircuitKey, list[SimplicialCone]] = {}
+    carriers: dict[Vec, set[CircuitKey]] = {}  # ray -> circuits with a cone holding it
     for cone, circ in zip(cob.fan.max_cones, cob.circuits):
         if circ is None:
             continue
@@ -92,12 +93,11 @@ def circuit_graph(cob: Cobordism) -> CollapseGraph:
                     f"circuit {key} splits differently in {cone}: "
                     "the sign partition must not depend on the containing cone"
                 )
+            cones[key].append(cone)
         else:
             circuits[key] = circ
-        cones.setdefault(key, []).append(cone)
-    carriers: dict[Vec, set[CircuitKey]] = {}  # ray -> circuits with a cone holding it
-    for key, held in cones.items():
-        for r in {r for cone in held for r in cone.rays}:
+            cones[key] = [cone]
+        for r in cone.rays:
             carriers.setdefault(r, set()).add(key)
     edges = {(a, b) for a, c in circuits.items() for p in c.pos for b in carriers[p] if b != a}
     nodes = tuple(sorted(circuits))

@@ -507,8 +507,13 @@ class _IndexedCones:
             return
         self.cones.add(cone)
         bisect.insort(self.ordered, cone, key=_RAYS)
+        holders = self.holders
         for r in cone.rays:
-            self.holders.setdefault(r, set()).add(cone)
+            held = holders.get(r)
+            if held is None:
+                holders[r] = {cone}
+            else:
+                held.add(cone)
 
     def remove(self, cone: SimplicialCone) -> None:
         self.cones.remove(cone)
@@ -524,9 +529,9 @@ class _IndexedCones:
         return None
 
     def holding(self, rays) -> set[SimplicialCone]:
-        """The cones holding every one of the (one or more) rays."""
-        first, *rest = [self.holders[r] for r in rays]
-        return first.intersection(*rest)
+        """The cones holding every one of the (one or more) rays, as a new
+        set."""
+        return set.intersection(*map(self.holders.__getitem__, rays))
 
 
 def minimal_containing_cone(fan: Fan, point) -> SimplicialCone:

@@ -40,6 +40,13 @@ INVALID_BOTTOM_DOCS = {
 
 # a .cob document whose one circuit is degenerate: its relation has one sign
 DEGENERATE_CIRCUIT_DOC = {"base_dim": 1, "rays": [[1, 0], [-1, 1]], "max_cones": [[0, 1]]}
+# two lifted cones stacked over one base ray: a valid lifted fan whose two
+# lower (and two upper) faces project to the same cone
+STACKED_FIBRE_DOC = {"base_dim": 1, "rays": [[1, 0], [1, 1], [1, 2], [1, 3]], "max_cones": [[0, 1], [2, 3]]}
+STACKED_FIBRE_PROBLEMS = (
+    "lower faces cone[(1, 0)] and cone[(1, 2)] project to the same cone",
+    "upper faces cone[(1, 1)] and cone[(1, 3)] project to the same cone",
+)
 
 
 def orthant_fan() -> Fan:

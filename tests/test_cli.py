@@ -16,7 +16,7 @@ import fancob
 from fancob import collapse as collapsemod
 from fancob.cli import entry, main, parse_centers
 from fancob.errors import ParseError
-from conftest import DEGENERATE_CIRCUIT_DOC, FIXTURES, INVALID_BOTTOM_DOCS
+from conftest import DEGENERATE_CIRCUIT_DOC, FIXTURES, INVALID_BOTTOM_DOCS, STACKED_FIBRE_DOC, STACKED_FIBRE_PROBLEMS
 
 
 def run(capsys, *argv):
@@ -42,6 +42,14 @@ class TestValidate:
         code, out, err = run(capsys, "validate", str(path))
         assert code == 2 and not out
         assert "max_cones[1] repeats max_cones[0]" in err
+
+    def test_faces_projecting_to_one_cone(self, capsys, tmp_path):
+        path = tmp_path / "stacked.cob"
+        path.write_text(json.dumps(STACKED_FIBRE_DOC))
+        code, out, err = run(capsys, "validate", str(path))
+        assert code == 1 and err == ""
+        assert [line for line in out.splitlines() if line.startswith("problem: ")] == [
+            f"problem: {p}" for p in STACKED_FIBRE_PROBLEMS]
 
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "validate", "missing.fan")

@@ -8,10 +8,11 @@ from fractions import Fraction
 
 import pytest
 
-from fancob import fan as fanmod
+from fancob import cobordism, fan as fanmod
 from fancob.cobordism import (
     Cobordism,
     _checked_circuit,
+    _cone_problems,
     ConeClass,
     boundary,
     build_cobordism,
@@ -33,6 +34,8 @@ from fancob.fan import Fan, SimplicialCone, star_subdivide
 from conftest import (
     FIXTURES,
     KARU_CENTERS,
+    STACKED_FIBRE_DOC,
+    STACKED_FIBRE_PROBLEMS,
     orthant_fan,
     random_center_sequence,
     random_smooth_fan,
@@ -282,6 +285,29 @@ class TestValidateCobordism:
         report = validate_cobordism(cob)
         assert not report.ok
         assert any("degenerate" in p for p in report.problems)
+
+    def test_faces_projecting_to_one_cone_reported(self):
+        # _cone_problems finds the shared projections by counting the
+        # projected cones (bottom and top dedupe them), then names each pair
+        cob = cobordism_from_doc(STACKED_FIBRE_DOC)[0]
+        assert fanmod.validate_fan(cob.fan).ok
+        assert (len(cob.lower_faces), len(cob.bottom.max_cones)) == (2, 1)
+        assert (len(cob.upper_faces), len(cob.top.max_cones)) == (2, 1)
+        assert validate_cobordism(cob).problems == STACKED_FIBRE_PROBLEMS
+
+    def test_boundary_projection_projects_each_lifted_ray_once(self, monkeypatch):
+        # one ray -> projection table serves both sides, and _cone_problems
+        # projects nothing when no two faces share a projection: 96 distinct
+        # lifted rays (32 input rays and 64 centers), 96 primitive calls
+        delta, centers = ring_chain(32)
+        cob = build_cobordism(delta, centers)
+        calls = []
+        real = cobordism.primitive
+        monkeypatch.setattr(cobordism, "primitive", lambda v: calls.append(v) or real(v))
+        again = Cobordism._with_circuits(cob.fan, cob.circuits)
+        assert _cone_problems(again) == [] and again == cob
+        assert len(cob.fan.rays) == 96
+        assert sorted(calls) == sorted(r[:-1] for r in cob.fan.rays)
 
 
 def assert_factors_into(cob, centers, heights):

@@ -445,7 +445,7 @@ class TestProvedBuild:
         # holds under python -O too: a forged single-cone problem, and
         # boundary projections forged empty, so bottom and top differ
         for name, forged in (("_cone_problems", lambda cob: ["forged problem"]),
-                             ("_projected_fan", lambda faces, d: Fan(d, ()))):
+                             ("_projected_fan", lambda faces, down, d: Fan(d, ()))):
             with monkeypatch.context() as patch:
                 patch.setattr(cobordism, name, forged)
                 with pytest.raises(AssertionFailed) as exc:

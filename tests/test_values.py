@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import fancob
-from fancob.cobordism import Circuit, Cobordism
+from fancob.cobordism import Circuit, Cobordism, _checked_circuit, circuit_of
 from fancob.collapse import CollapseGraph, FactorStep, StepKind
 from fancob.demos import DemoReport, ScheduleEntry
 from fancob.fan import Fan, SimplicialCone, ValidationReport, star_subdivide
@@ -92,13 +92,21 @@ def test_handed_over_basis_is_no_part_of_the_value():
 
 
 def test_direct_slot_writers_build_the_constructors_values():
-    # SimplicialCone._face and Fan._sorted write their slots directly, so
-    # they cover exactly these fields: a new one must be written there too
+    # SimplicialCone._face, Fan._sorted and cobordism._checked_circuit write
+    # their slots directly, so they cover exactly these fields: a new one
+    # must be written there too
     assert SimplicialCone._fields == ("rays",)
     assert Fan._fields == ("ambient_dim", "max_cones")
+    assert Circuit._fields == ("rays", "relation", "pos", "neg", "link")
     face = SimplicialCone._face(((1, 0), (0, 1)))
     fan = Fan._sorted(2, [CONE])
-    for direct, built in ((face, CONE), (fan, FAN)):
+    # a circuit on three of the four rays, with the fourth as its link
+    lifted = SimplicialCone(((0, 0, 1, 0), (0, 1, 0, 0), (1, 0, 0, 0), (1, 1, 0, 1)))
+    written = _checked_circuit(lifted, (0, -1, -1, 1))
+    circuit = Circuit(((0, 1, 0, 0), (1, 0, 0, 0), (1, 1, 0, 1)), (-1, -1, 1),
+                      ((1, 1, 0, 1),), ((0, 1, 0, 0), (1, 0, 0, 0)), ((0, 0, 1, 0),))
+    assert circuit_of(lifted) == circuit
+    for direct, built in ((face, CONE), (fan, FAN), (written, circuit)):
         assert direct == built and built == direct and not direct != built
         assert hash(direct) == hash(built) and repr(direct) == repr(built)
         for twin in (copy.copy(direct), copy.deepcopy(direct), pickle.loads(pickle.dumps(direct))):
